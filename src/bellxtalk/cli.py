@@ -9,8 +9,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 CSV_HEADER = "mu,eta,nu,zeta,s,t,p00,p01,p10,p11,entropy,mutual_info,degree,independent"
+#: sweep rows formatted and written per block; the formatted text in memory
+#: stays at one block whatever the grid size
+SWEEP_BLOCK_ROWS = 4096
 
 _ANGLE_NAMES = ("mu", "eta", "nu", "zeta")
 _PLANE_FLAGS = {"x0": Plane.X_ZERO, "y0": Plane.Y_ZERO, "z0": Plane.Z_ZERO}
@@ -32,35 +38,6 @@ _PLANE_FLAGS = {"x0": Plane.X_ZERO, "y0": Plane.Y_ZERO, "z0": Plane.Z_ZERO}
 def _fmt(value: float) -> str:
     # 17 significant digits round-trip double precision exactly
     return format(float(value), ".17g")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One CSV row of a parameter sweep; fields in header order."""
-
-    mu: float
-    eta: float
-    nu: float
-    zeta: float
-    s: int
-    t: int
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-    entropy: float
-    mutual_info: float
-    degree: float
-    independent: int
-
-    def to_csv_row(self) -> str:
-        return ",".join(
-            [_fmt(self.mu), _fmt(self.eta), _fmt(self.nu), _fmt(self.zeta),
-             str(self.s), str(self.t),
-             _fmt(self.p00), _fmt(self.p01), _fmt(self.p10), _fmt(self.p11),
-             _fmt(self.entropy), _fmt(self.mutual_info), _fmt(self.degree),
-             str(self.independent)]
-        )
 
 
 @dataclass(frozen=True)
@@ -210,25 +187,65 @@ def cmd_sweep(args) -> int:
     degree = information.degree_rows(probs)
     independent = (np.abs(probs[:, 0] - 0.25) <= args.tol).astype(int)
 
-    lines = [CSV_HEADER]
-    for i in range(total):
-        record = SweepRecord(
-            mu=columns["mu"][i], eta=columns["eta"][i],
-            nu=columns["nu"][i], zeta=columns["zeta"][i],
-            s=label.s, t=label.t,
-            p00=probs[i, 0], p01=probs[i, 1], p10=probs[i, 2], p11=probs[i, 3],
-            entropy=entropy[i], mutual_info=mutual[i], degree=degree[i],
-            independent=int(independent[i]),
-        )
-        lines.append(record.to_csv_row())
-    text = "\n".join(lines) + "\n"
-
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    out = contextlib.nullcontext(sys.stdout) if args.out == "-" else _replacing(args.out)
+    with out as handle:
+        _write_sweep_rows(handle, label, columns, probs, entropy, mutual, degree, independent)
     return EXIT_OK
+
+
+class _AngleText(dict):
+    """float -> its 17-digit text, formatted on first use."""
+
+    def __missing__(self, value: float) -> str:
+        text = "%.17g" % value
+        if value != 0.0:  # 0.0 == -0.0 as keys, but they print as "0" and "-0"
+            self[value] = text
+        return text
+
+
+def _write_sweep_rows(handle, label, columns, probs, entropy, mutual, degree, independent) -> None:
+    """Write the CSV header and rows to handle, formatting SWEEP_BLOCK_ROWS rows at a time.
+
+    ``"%.17g" % x`` is the text of ``_fmt(x)`` for every float; the label bits
+    are the same on every row, so they are part of the row format.
+    """
+    row = f"%s,%s,%s,%s,{label.s},{label.t}," + ",".join(["%.17g"] * 7) + ",%d\n"
+    handle.write(CSV_HEADER + "\n")
+    for start in range(0, probs.shape[0], SWEEP_BLOCK_ROWS):
+        block = slice(start, start + SWEEP_BLOCK_ROWS)
+        angle_text = _AngleText()  # one per block, so distinct angles cannot pile up
+        angles = [map(angle_text.__getitem__, columns[name][block].tolist()) for name in _ANGLE_NAMES]
+        fields = zip(*angles, *probs[block].T.tolist(), entropy[block].tolist(),
+                     mutual[block].tolist(), degree[block].tolist(), independent[block].tolist())
+        handle.write("".join(map(row.__mod__, fields)))
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Text handle on a temp file beside path, renamed onto path when the block succeeds.
+
+    On any failure the temp file is removed and path is left as it was. A
+    symlink is followed, so the file it names is replaced, not the link; a
+    path that exists but is no regular file, such as /dev/stdout or a pipe,
+    is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        return
+    directory, name = os.path.split(target)
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") gives, not mkstemp's 0o600
+            yield handle
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +363,8 @@ def _max_commutator_norm(mu, eta, nu, zeta) -> float:
 
 
 def cmd_verify(args) -> int:
+    if args.tol <= 0.0:
+        raise ValueError("tolerance must be positive")
     result = run_verification(samples=args.samples, seed=args.seed)
     checks = [
         ("three-method max gap", result.max_method_gap),

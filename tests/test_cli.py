@@ -1,8 +1,14 @@
 import math
+import os
+import stat
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bellxtalk import bipartite, cli, information
+from bellxtalk.bipartite import BellLabel
 from bellxtalk.cli import CSV_HEADER, main, run_verification
 
 PI = math.pi
@@ -289,3 +295,139 @@ class TestTopLevel:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+@pytest.mark.parametrize("command", ["probs", "sweep", "verify", "sample"])
+def test_nonpositive_tolerance_is_usage_error(capsys, command, tol):
+    code, out, err = run_cli(capsys, command, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "error: tolerance must be positive" in err
+
+
+TWO_PI_STR = repr(2 * PI)
+BLOCK = cli.SWEEP_BLOCK_ROWS
+
+
+def reference_sweep_csv(grid, s, t, tol):
+    """The sweep CSV by the documented rule: every float through format(x, ".17g")."""
+    mu, eta, nu, zeta = (np.asarray(grid[name], dtype=np.float64) for name in ("mu", "eta", "nu", "zeta"))
+    n = mu.shape[0]
+    probs = bipartite.joint_closed_batch(mu, eta, nu, zeta, np.full(n, s), np.full(n, t))
+    entropy = information.shannon_entropy_rows(probs)
+    mutual = information.mutual_information_rows(probs)
+    degree = information.degree_rows(probs)
+    lines = [CSV_HEADER]
+    for i in range(n):
+        angles = [format(float(x[i]), ".17g") for x in (mu, eta, nu, zeta)]
+        values = [format(float(x), ".17g") for x in (*probs[i], entropy[i], mutual[i], degree[i])]
+        independent = int(abs(probs[i, 0] - 0.25) <= tol)
+        lines.append(",".join([*angles, str(s), str(t), *values, str(independent)]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# (argv, the grid it asks for); rows 1, BLOCK + 1 and 2 * BLOCK + 7, so the
+# last block is partial; -0 beside 0 checks that signed zeros keep their text
+WRITER_CASES = [
+    (["--mu", "-0", "--eta", TWO_PI_STR, "--nu", "1.1", "--zeta", "0", "--s", "1", "--t", "1"],
+     {"mu": [-0.0], "eta": [2 * PI], "nu": [1.1], "zeta": [0.0]}, 1, 1),
+    (["--eta", "0", "--nu", QUARTER_PI_STR, "--zeta", "-0", "--s", "0", "--t", "1",
+      "--vary", f"mu=0:{PI_STR}:{BLOCK + 1}"],
+     {"mu": np.linspace(0.0, PI, BLOCK + 1), "eta": np.zeros(BLOCK + 1),
+      "nu": np.full(BLOCK + 1, PI / 4), "zeta": np.full(BLOCK + 1, -0.0)}, 0, 1),
+    (["--mu", QUARTER_PI_STR, "--zeta", HALF_PI_STR, "--s", "1", "--t", "0",
+      "--vary", f"eta=0:{TWO_PI_STR}:3", "--vary", f"nu=0:{PI_STR}:{(2 * BLOCK + 7) // 3}"],
+     {"mu": np.full(2 * BLOCK + 7, PI / 4),
+      "eta": np.repeat(np.linspace(0.0, 2 * PI, 3), (2 * BLOCK + 7) // 3),
+      "nu": np.tile(np.linspace(0.0, PI, (2 * BLOCK + 7) // 3), 3),
+      "zeta": np.full(2 * BLOCK + 7, PI / 2)}, 1, 0),
+]
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+class TestSweepWriter:
+    @pytest.mark.parametrize("argv, grid, s, t", WRITER_CASES, ids=["1", "block+1", "2block+7"])
+    def test_bytes_match_reference_on_file_and_stdout(self, tmp_path, capsys, argv, grid, s, t):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--tol", "0.2", "--out", str(out)]) == 0
+        assert main(["sweep", *argv, "--tol", "0.2", "--out", "-"]) == 0
+        blob = out.read_bytes()
+        assert blob == reference_sweep_csv(grid, s, t, 0.2)
+        assert capsys.readouterr().out.encode() == blob
+
+    def test_out_file_is_the_only_file_left_with_the_usual_mode(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--vary", "nu=0:1:5", "--out", str(out)]) == 0
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_failure_mid_write_leaves_out_unchanged(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"previous contents\n")
+        blocks = []
+
+        class Broken(RuntimeError):
+            pass
+
+        class FailingAfterFirstBlock(cli._AngleText):
+            def __init__(self):
+                blocks.append(self)
+                if len(blocks) > 1:
+                    raise Broken("second block")
+
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 2)
+        monkeypatch.setattr(cli, "_AngleText", FailingAfterFirstBlock)
+        with pytest.raises(Broken):
+            main(["sweep", "--vary", "nu=0:1:5", "--out", str(out)])
+        assert len(blocks) == 2
+        assert out.read_bytes() == b"previous contents\n"
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+
+    def test_symlinked_out_replaces_the_file_it_names(self, tmp_path):
+        target = tmp_path / "data.csv"
+        target.write_bytes(b"previous contents\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["sweep", "--vary", "nu=0:1:3", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes().startswith(CSV_HEADER.encode())
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "link.csv"]
+
+    def test_out_that_is_a_pipe_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["sweep", "--vary", "nu=0:1:3", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+        assert main(["sweep", "--vary", "nu=0:1:3"]) == 0
+        assert received == [capsys.readouterr().out.encode()]
+
+    def test_formatting_memory_does_not_grow_with_rows(self):
+        rng = np.random.default_rng(3)
+
+        def peak(rows):
+            columns = {name: rng.uniform(0.0, PI, rows) for name in ("mu", "eta", "nu", "zeta")}
+            probs = rng.dirichlet(np.ones(4), rows)
+            entropy, mutual, degree = rng.uniform(0.0, 1.0, (3, rows))
+            independent = rng.integers(0, 2, rows)
+            tracemalloc.start()
+            try:
+                cli._write_sweep_rows(_Discard(), BellLabel(0, 1), columns, probs,
+                                      entropy, mutual, degree, independent)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * BLOCK) < 2 * peak(2 * BLOCK)
