@@ -1,11 +1,14 @@
 """Batch kernels for the hot numeric paths.
 
 Each kernel exists twice with identical semantics: an explicit loop compiled
-by numba, and a vectorized pure-numpy fallback. The active set is chosen at
-import time; set BELLXTALK_DISABLE_NUMBA=1 (or run without numba installed)
-to force the numpy path. Probabilities from the two paths agree to a few ULP;
-the sampler is bit-identical because it only uses integer mixing and exact
-float scaling.
+by numba, and a vectorized pure-numpy path. numba is optional; the numpy path
+is what runs without it, or when BELLXTALK_DISABLE_NUMBA=1 is set. The active
+set is chosen at import time, and importing allocates no arrays.
+Probabilities from the two paths agree to a few ULP. The sampler counts are
+bit-identical: the loop scales the top 53 bits of each draw to a double and
+compares it with the cdf, while the numpy path compares the 64-bit word with
+the integer bound floor(c * 2^53) * 2^11 + 2047 of each cdf entry c, which
+holds for exactly the same draws.
 
 Inputs are assumed pre-validated: angle arrays are 1-d float64 of one shared
 length, s/t are int64 arrays of that length, psi is complex128 with shape
@@ -15,17 +18,22 @@ length, s/t are int64 arrays of that length, psi is complex128 with shape
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 
 # splitmix64 constants; draw i uses the mix of seed + (i+1)*GAMMA (mod 2^64)
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(_GAMMA_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _UNIT = 2.0 ** -53
+_U64_MAX = 2**64 - 1
 
-_SAMPLE_CHUNK = 1 << 20
+#: draws mixed per chunk; the numpy sampler's three 512 KB uint64 buffers stay in L2
+_SAMPLE_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -112,24 +120,55 @@ def bruteforce_joint_numpy(mu, eta, nu, zeta, psi):
     return (amps.real * amps.real + amps.imag * amps.imag).reshape(n, 4)
 
 
+def _draw_bound(c):
+    """Largest 64-bit z whose draw (z >> 11) * 2^-53 is <= c; None when no z is.
+
+    The draw is a 53-bit integer scaled by a power of two, so u <= c holds
+    exactly when (z >> 11) <= floor(c * 2^53), that is when
+    z <= floor(c * 2^53) * 2^11 + 2047.
+    """
+    if c < 0.0:
+        return None
+    if c >= 1.0:
+        return _U64_MAX
+    return (math.floor(c * 2.0 ** 53) << 11) | 2047
+
+
 def sample_counts_numpy(cdf, n, seed):
-    """Inverse-CDF counts for n splitmix64 draws (chunked to bound memory)."""
-    counts = np.zeros(4, dtype=np.int64)
-    base = np.uint64(seed)
-    done = 0
-    while done < n:
-        m = min(_SAMPLE_CHUNK, n - done)
-        idx = np.arange(done + 1, done + m + 1, dtype=np.uint64)
-        z = base + idx * _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z ^= z >> np.uint64(31)
-        u = (z >> np.uint64(11)).astype(np.float64) * _UNIT
-        cells = np.searchsorted(cdf, u, side="left")
-        np.minimum(cells, 3, out=cells)
-        counts += np.bincount(cells, minlength=4).astype(np.int64)
-        done += m
-    return counts
+    """Inverse-CDF counts for n splitmix64 draws, in chunks of _SAMPLE_CHUNK.
+
+    Each draw is compared as an integer with one precomputed bound per cdf
+    entry (see _draw_bound), so no draw is converted to float. Mixing runs in
+    place in buffers allocated once per call and sized to stay in cache.
+    """
+    bounds = [_draw_bound(float(c)) for c in cdf[:3]]
+    size = min(n, _SAMPLE_CHUNK)
+    steps = np.arange(1, size + 1, dtype=np.uint64)
+    steps *= _GAMMA  # steps[j] = (j+1)*GAMMA; chunk start adds start*GAMMA
+    z_buf = np.empty(size, dtype=np.uint64)
+    tmp_buf = np.empty(size, dtype=np.uint64)
+    hit_buf = np.empty(size, dtype=bool)
+    at_most = [0, 0, 0]  # draws with u <= cdf[k]
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        z, tmp, hit = z_buf[:m], tmp_buf[:m], hit_buf[:m]
+        np.add(steps[:m], np.uint64((int(seed) + start * _GAMMA_INT) & _U64_MAX), out=z)
+        np.right_shift(z, _SHIFT30, out=tmp)
+        z ^= tmp
+        z *= _MIX1
+        np.right_shift(z, _SHIFT27, out=tmp)
+        z ^= tmp
+        z *= _MIX2
+        np.right_shift(z, _SHIFT31, out=tmp)
+        z ^= tmp
+        for k, bound in enumerate(bounds):
+            if bound == _U64_MAX:
+                at_most[k] += m
+            elif bound is not None:
+                np.less_equal(z, np.uint64(bound), out=hit)
+                at_most[k] += int(np.count_nonzero(hit))
+    le0, le1, le2 = at_most
+    return np.array([le0, le1 - le0, le2 - le1, n - le2], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def _sweep_grid(args) -> tuple[dict[str, np.ndarray], int]:
 
 
 def cmd_sweep(args) -> int:
-    if args.tol <= 0.0:
+    if not args.tol > 0.0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
     label = BellLabel(args.s, args.t)
     columns, total = _sweep_grid(args)
@@ -188,8 +188,11 @@ def cmd_sweep(args) -> int:
     independent = (np.abs(probs[:, 0] - 0.25) <= args.tol).astype(int)
 
     out = contextlib.nullcontext(sys.stdout) if args.out == "-" else _replacing(args.out)
-    with out as handle:
-        _write_sweep_rows(handle, label, columns, probs, entropy, mutual, degree, independent)
+    try:
+        with out as handle:
+            _write_sweep_rows(handle, label, columns, probs, entropy, mutual, degree, independent)
+    except OSError as exc:  # name the path given, not _replacing's temp file
+        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     return EXIT_OK
 
 
@@ -363,7 +366,7 @@ def _max_commutator_norm(mu, eta, nu, zeta) -> float:
 
 
 def cmd_verify(args) -> int:
-    if args.tol <= 0.0:
+    if not args.tol > 0.0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
     result = run_verification(samples=args.samples, seed=args.seed)
     checks = [

@@ -93,7 +93,7 @@ def _check_bit(value: int, name: str) -> int:
 
 
 def _satisfied(kind: ConditionKind, targets: tuple[float, ...], first: float, second: float, tol: float) -> bool:
-    if tol <= 0.0:
+    if not tol > 0.0:  # also rejects NaN
         raise ValueError("angle tolerance must be positive")
     value = first + second if kind is ConditionKind.SUM else abs(first - second)
     return any(abs(value - target) <= tol for target in targets)

@@ -61,7 +61,7 @@ def degree_of_dependence(dist: JointDistribution) -> float:
 
 def is_informationally_independent(dist: JointDistribution, tol: float = DEFAULT_INDEPENDENCE_TOL) -> bool:
     """True when the diagonal probability p00 equals 1/4 within tol."""
-    if tol <= 0.0:
+    if not tol > 0.0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
     return abs(dist.probability(0, 0) - 0.25) <= tol
 

@@ -144,7 +144,7 @@ def direction(obs: Observable) -> BlochDirection:
 
 def classify_plane(obs: Observable, tol: float = DEFAULT_PLANE_TOL) -> PlaneClass:
     """Report every coordinate plane whose defining coordinate is within tol."""
-    if tol <= 0.0:
+    if not tol > 0.0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
     d = direction(obs)
     hits = []

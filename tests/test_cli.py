@@ -431,3 +431,42 @@ class TestSweepWriter:
                 tracemalloc.stop()
 
         assert peak(8 * BLOCK) < 2 * peak(2 * BLOCK)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-nan"])
+@pytest.mark.parametrize("command", ["probs", "sweep", "verify", "sample"])
+def test_nan_tolerance_is_usage_error(capsys, command, tol):
+    code, out, err = run_cli(capsys, command, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "error: tolerance must be positive" in err
+
+
+class TestUnwritableOut:
+    def test_missing_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--vary", "nu=0:1:3", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_write_error_mid_sweep_names_out_and_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"previous contents\n")
+        blocks = []
+
+        class DiskFullAfterFirstBlock(cli._AngleText):
+            def __init__(self):
+                blocks.append(self)
+                if len(blocks) > 1:
+                    raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 2)
+        monkeypatch.setattr(cli, "_AngleText", DiskFullAfterFirstBlock)
+        code, stdout, err = run_cli(capsys, "sweep", "--vary", "nu=0:1:5", "--out", str(out))
+        assert code == 2
+        assert err == f"error: cannot write {out}: No space left on device\n"
+        assert "Traceback" not in err
+        assert out.read_bytes() == b"previous contents\n"
+        assert os.listdir(tmp_path) == ["sweep.csv"]

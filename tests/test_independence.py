@@ -232,3 +232,8 @@ class TestSolveIndependence:
         pair = ObservablePair(named_gate("sigma3"), named_gate("sigma3"))
         with pytest.raises(ValueError):
             solve_independence(lambda _x: pair, BellLabel(0, 0), 1)
+
+
+def test_nan_angle_tolerance_is_rejected():
+    with pytest.raises(ValueError, match="angle tolerance must be positive"):
+        condition_x_plane(PI / 4, PI / 4, s=0, tol=math.nan)

@@ -210,3 +210,8 @@ def test_report_from_distribution_plumbs_tolerance():
     assert report.independent
     report = report_from_distribution(bell_shaped(0.2500005), tol=1e-9)
     assert not report.independent
+
+
+def test_nan_tolerance_is_rejected():
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        is_informationally_independent(bell_shaped(0.25), math.nan)

@@ -190,3 +190,8 @@ def test_normalize_azimuth_edge_cases():
     assert obs.normalize_azimuth(-1e-18) in (0.0, 2 * PI - 1e-18)
     assert 0.0 <= obs.normalize_azimuth(-1e-18) < 2 * PI
     assert 0.0 <= obs.normalize_azimuth(123.456) < 2 * PI
+
+
+def test_classify_plane_rejects_nan_tolerance():
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        classify_plane(Observable(1.0, 1.0), math.nan)
