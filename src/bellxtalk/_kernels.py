@@ -1,14 +1,12 @@
-"""Batch kernels for the hot numeric paths.
+"""Vectorized numpy kernels for the hot numeric paths.
 
-Each kernel exists twice with identical semantics: an explicit loop compiled
-by numba, and a vectorized pure-numpy path. numba is optional; the numpy path
-is what runs without it, or when BELLXTALK_DISABLE_NUMBA=1 is set. The active
-set is chosen at import time, and importing allocates no arrays.
-Probabilities from the two paths agree to a few ULP. The sampler counts are
-bit-identical: the loop scales the top 53 bits of each draw to a double and
-compares it with the cdf, while the numpy path compares the 64-bit word with
-the integer bound floor(c * 2^53) * 2^11 + 2047 of each cdf entry c, which
-holds for exactly the same draws.
+Each kernel is defined as ``<name>_numpy`` and exported under the plain name
+(``closed_joint``, ``closed_joint_alt``, ``amplitude_joint``,
+``bruteforce_joint``, ``sample_counts``), which callers look up through this
+module. Importing allocates no arrays. The sampler compares each 64-bit
+splitmix64 word with the integer bound floor(c * 2^53) * 2^11 + 2047 of each
+cdf entry c, which holds for exactly the draws whose top 53 bits, scaled to a
+double, are <= c.
 
 Inputs are assumed pre-validated: angle arrays are 1-d float64 of one shared
 length, s/t are int64 arrays of that length, psi is complex128 with shape
@@ -19,7 +17,6 @@ length, s/t are int64 arrays of that length, psi is complex128 with shape
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -29,16 +26,11 @@ _GAMMA = np.uint64(_GAMMA_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
-_UNIT = 2.0 ** -53
 _U64_MAX = 2**64 - 1
 
 #: draws mixed per chunk; the numpy sampler's three 512 KB uint64 buffers stay in L2
 _SAMPLE_CHUNK = 1 << 16
 
-
-# ---------------------------------------------------------------------------
-# vectorized numpy implementations
-# ---------------------------------------------------------------------------
 
 def closed_joint_numpy(mu, eta, nu, zeta, s, t):
     """Joint probabilities from the closed forms in the angle sums."""
@@ -171,190 +163,8 @@ def sample_counts_numpy(cdf, n, seed):
     return np.array([le0, le1 - le0, le2 - le1, n - le2], dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# loop implementations, compiled by numba when enabled
-# ---------------------------------------------------------------------------
-
-def _closed_joint_loop(mu, eta, nu, zeta, s, t):
-    n = mu.shape[0]
-    out = np.empty((n, 4), dtype=np.float64)
-    for i in range(n):
-        sign_s = 1.0 - 2.0 * s[i]
-        sign_t = 1.0 - 2.0 * t[i]
-        half_sum = 0.5 * (mu[i] + sign_s * nu[i])
-        half_azim = 0.5 * (eta[i] + sign_t * zeta[i])
-        if t[i] == 0:
-            tr_t_sum = np.cos(half_sum)
-            tr_t1_sum = np.sin(half_sum)
-            tr_t_azim = np.cos(half_azim)
-        else:
-            tr_t_sum = np.sin(half_sum)
-            tr_t1_sum = np.cos(half_sum)
-            tr_t_azim = np.sin(half_azim)
-        cross = np.cos(0.5 * mu[i]) * np.cos(0.5 * nu[i]) * np.sin(0.5 * mu[i]) * np.sin(0.5 * nu[i])
-        term = (2.0 * sign_s * sign_t) * (tr_t_azim * tr_t_azim) * cross
-        diag = 0.5 * (tr_t_sum * tr_t_sum) + term
-        off = 0.5 * (tr_t1_sum * tr_t1_sum) - term
-        out[i, 0] = diag
-        out[i, 1] = off
-        out[i, 2] = off
-        out[i, 3] = diag
-    return out
-
-
-def _closed_joint_alt_loop(mu, eta, nu, zeta, s, t):
-    n = mu.shape[0]
-    out = np.empty((n, 4), dtype=np.float64)
-    for i in range(n):
-        sign_s = 1.0 - 2.0 * s[i]
-        sign_t = 1.0 - 2.0 * t[i]
-        half_dif = 0.5 * (mu[i] - sign_s * nu[i])
-        half_azim = 0.5 * (eta[i] + sign_t * zeta[i])
-        if t[i] == 0:
-            tr_t_dif = np.cos(half_dif)
-            tr_t1_dif = np.sin(half_dif)
-            tr_t1_azim = np.sin(half_azim)
-        else:
-            tr_t_dif = np.sin(half_dif)
-            tr_t1_dif = np.cos(half_dif)
-            tr_t1_azim = np.cos(half_azim)
-        cross = np.cos(0.5 * mu[i]) * np.cos(0.5 * nu[i]) * np.sin(0.5 * mu[i]) * np.sin(0.5 * nu[i])
-        term = (2.0 * sign_s * sign_t) * (tr_t1_azim * tr_t1_azim) * cross
-        diag = 0.5 * (tr_t_dif * tr_t_dif) - term
-        off = 0.5 * (tr_t1_dif * tr_t1_dif) + term
-        out[i, 0] = diag
-        out[i, 1] = off
-        out[i, 2] = off
-        out[i, 3] = diag
-    return out
-
-
-def _amplitude_joint_loop(mu, eta, nu, zeta, s, t):
-    n = mu.shape[0]
-    out = np.empty((n, 4), dtype=np.float64)
-    for i in range(n):
-        cm, sm = np.cos(0.5 * mu[i]), np.sin(0.5 * mu[i])
-        cn, sn = np.cos(0.5 * nu[i]), np.sin(0.5 * nu[i])
-        ph_a = np.exp(-1j * eta[i])
-        ph_b = np.exp(-1j * zeta[i])
-        ph_ab = ph_a * ph_b
-        sign_s = 1.0 - 2.0 * s[i]
-        col = 0
-        for k in range(2):
-            sk = 1.0 - 2.0 * k
-            tr_k = cm if k == 0 else sm
-            tr_k1 = sm if k == 0 else cm
-            for ell in range(2):
-                sl = 1.0 - 2.0 * ell
-                tr_l = cn if ell == 0 else sn
-                tr_l1 = sn if ell == 0 else cn
-                if t[i] == 0:
-                    amp = (sk * sl) * ph_ab * (tr_k * tr_l) + sign_s * (tr_k1 * tr_l1)
-                else:
-                    amp = sk * ph_a * (tr_k * tr_l1) + (sign_s * sl) * ph_b * (tr_k1 * tr_l)
-                out[i, col] = 0.5 * (amp.real * amp.real + amp.imag * amp.imag)
-                col += 1
-    return out
-
-
-def _bruteforce_joint_loop(mu, eta, nu, zeta, psi):
-    n = mu.shape[0]
-    out = np.empty((n, 4), dtype=np.float64)
-    for i in range(n):
-        cm, sm = np.cos(0.5 * mu[i]), np.sin(0.5 * mu[i])
-        cn, sn = np.cos(0.5 * nu[i]), np.sin(0.5 * nu[i])
-        ph_a = np.exp(-1j * eta[i])
-        ph_b = np.exp(-1j * zeta[i])
-        col = 0
-        for k in range(2):
-            if k == 0:
-                a0, a1 = ph_a * cm, sm + 0.0j
-            else:
-                a0, a1 = -ph_a * sm, cm + 0.0j
-            for ell in range(2):
-                if ell == 0:
-                    b0, b1 = ph_b * cn, sn + 0.0j
-                else:
-                    b0, b1 = -ph_b * sn, cn + 0.0j
-                amp = (np.conj(a0 * b0) * psi[i, 0] + np.conj(a0 * b1) * psi[i, 1]
-                       + np.conj(a1 * b0) * psi[i, 2] + np.conj(a1 * b1) * psi[i, 3])
-                out[i, col] = amp.real * amp.real + amp.imag * amp.imag
-                col += 1
-    return out
-
-
-def _sample_counts_loop(cdf, n, seed):
-    counts = np.zeros(4, dtype=np.int64)
-    state = seed
-    c0, c1, c2 = cdf[0], cdf[1], cdf[2]
-    for _ in range(n):
-        state = state + _GAMMA
-        z = state
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
-        u = np.float64(z >> np.uint64(11)) * _UNIT
-        if u <= c0:
-            counts[0] += 1
-        elif u <= c1:
-            counts[1] += 1
-        elif u <= c2:
-            counts[2] += 1
-        else:
-            counts[3] += 1
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _numba_enabled() -> bool:
-    flag = os.environ.get("BELLXTALK_DISABLE_NUMBA", "")
-    return flag.strip().lower() not in {"1", "true", "yes", "on"}
-
-
-closed_joint_numba = None
-closed_joint_alt_numba = None
-amplitude_joint_numba = None
-bruteforce_joint_numba = None
-sample_counts_numba = None
-
-if _numba_enabled():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        closed_joint_numba = njit(cache=True)(_closed_joint_loop)
-        closed_joint_alt_numba = njit(cache=True)(_closed_joint_alt_loop)
-        amplitude_joint_numba = njit(cache=True)(_amplitude_joint_loop)
-        bruteforce_joint_numba = njit(cache=True)(_bruteforce_joint_loop)
-        sample_counts_numba = njit(cache=True)(_sample_counts_loop)
-
-if closed_joint_numba is not None:
-    BACKEND = "numba"
-    closed_joint = closed_joint_numba
-    closed_joint_alt = closed_joint_alt_numba
-    amplitude_joint = amplitude_joint_numba
-    bruteforce_joint = bruteforce_joint_numba
-    sample_counts = sample_counts_numba
-else:
-    BACKEND = "numpy"
-    closed_joint = closed_joint_numpy
-    closed_joint_alt = closed_joint_alt_numpy
-    amplitude_joint = amplitude_joint_numpy
-    bruteforce_joint = bruteforce_joint_numpy
-    sample_counts = sample_counts_numpy
-
-
-def warm_up() -> None:
-    """Run every active kernel once so JIT compilation happens up front."""
-    one = np.zeros(1, dtype=np.float64)
-    bit = np.zeros(1, dtype=np.int64)
-    psi = np.full((1, 4), 0.5, dtype=np.complex128)
-    closed_joint(one, one, one, one, bit, bit)
-    closed_joint_alt(one, one, one, one, bit, bit)
-    amplitude_joint(one, one, one, one, bit, bit)
-    bruteforce_joint(one, one, one, one, psi)
-    sample_counts(np.array([0.25, 0.5, 0.75, 1.0]), 1, np.uint64(0))
+closed_joint = closed_joint_numpy
+closed_joint_alt = closed_joint_alt_numpy
+amplitude_joint = amplitude_joint_numpy
+bruteforce_joint = bruteforce_joint_numpy
+sample_counts = sample_counts_numpy

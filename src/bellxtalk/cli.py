@@ -30,6 +30,9 @@ CSV_HEADER = "mu,eta,nu,zeta,s,t,p00,p01,p10,p11,entropy,mutual_info,degree,inde
 #: sweep rows formatted and written per block; the formatted text in memory
 #: stays at one block whatever the grid size
 SWEEP_BLOCK_ROWS = 4096
+#: verify tuples per block of lifted 4x4 commutators; their memory stays at
+#: one block whatever --samples is
+COMMUTATOR_BLOCK_ROWS = 4096
 
 _ANGLE_NAMES = ("mu", "eta", "nu", "zeta")
 _PLANE_FLAGS = {"x0": Plane.X_ZERO, "y0": Plane.Y_ZERO, "z0": Plane.Z_ZERO}
@@ -354,15 +357,20 @@ def _observable_matrices(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
 
 
 def _max_commutator_norm(mu, eta, nu, zeta) -> float:
-    a = _observable_matrices(np.asarray(mu), np.asarray(eta))
-    b = _observable_matrices(np.asarray(nu), np.asarray(zeta))
+    """Largest Frobenius norm of [A (x) I, I (x) B], COMMUTATOR_BLOCK_ROWS tuples at a time."""
     eye = np.eye(2, dtype=np.complex128)
-    n = a.shape[0]
-    lift_a = np.einsum("nij,kl->nikjl", a, eye).reshape(n, 4, 4)
-    lift_b = np.einsum("ij,nkl->nikjl", eye, b).reshape(n, 4, 4)
-    comm = lift_a @ lift_b - lift_b @ lift_a
-    norms = np.sqrt((np.abs(comm) ** 2).sum(axis=(1, 2)))
-    return float(norms.max())
+    block_max = []
+    for start in range(0, len(mu), COMMUTATOR_BLOCK_ROWS):
+        block = slice(start, start + COMMUTATOR_BLOCK_ROWS)
+        a = _observable_matrices(mu[block], eta[block])
+        b = _observable_matrices(nu[block], zeta[block])
+        n = a.shape[0]
+        lift_a = np.einsum("nij,kl->nikjl", a, eye).reshape(n, 4, 4)
+        lift_b = np.einsum("ij,nkl->nikjl", eye, b).reshape(n, 4, 4)
+        comm = lift_a @ lift_b - lift_b @ lift_a
+        norms = np.sqrt((np.abs(comm) ** 2).sum(axis=(1, 2)))
+        block_max.append(norms.max())
+    return float(np.max(block_max))
 
 
 def cmd_verify(args) -> int:
@@ -529,6 +537,9 @@ def main(argv=None) -> int:
         return EXIT_VERIFY_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a grid or sample count too large for this machine
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Timed criteria measure the algorithms after JIT warm-up (handled by
-the session fixture in conftest.py).
+lines.
 """
 
 import math

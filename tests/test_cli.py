@@ -470,3 +470,35 @@ class TestUnwritableOut:
         assert "Traceback" not in err
         assert out.read_bytes() == b"previous contents\n"
         assert os.listdir(tmp_path) == ["sweep.csv"]
+
+
+def test_commutator_memory_does_not_grow_with_samples():
+    rng = np.random.default_rng(5)
+
+    def peak(rows):
+        angles = rng.uniform(0.0, PI, (4, rows))
+        tracemalloc.start()
+        try:
+            cli._max_commutator_norm(*angles)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rows = 4 * cli.COMMUTATOR_BLOCK_ROWS
+    assert peak(4 * rows) < 1.5 * peak(rows)
+
+
+def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    out.write_bytes(b"previous contents\n")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(bipartite, "joint_closed_batch", exhausted)
+    code, stdout, err = run_cli(capsys, "sweep", "--vary", "nu=0:1:3", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: out of memory: Unable to allocate 298. GiB for an array\n"
+    assert out.read_bytes() == b"previous contents\n"
+    assert os.listdir(tmp_path) == ["sweep.csv"]
