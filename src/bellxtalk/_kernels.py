@@ -3,10 +3,17 @@
 Each kernel is defined as ``<name>_numpy`` and exported under the plain name
 (``closed_joint``, ``closed_joint_alt``, ``amplitude_joint``,
 ``bruteforce_joint``, ``sample_counts``), which callers look up through this
-module. Importing allocates no arrays. The sampler compares each 64-bit
-splitmix64 word with the integer bound floor(c * 2^53) * 2^11 + 2047 of each
-cdf entry c, which holds for exactly the draws whose top 53 bits, scaled to a
-double, are <= c.
+module. Importing allocates no arrays.
+
+``closed_joint`` is the production path: the correlation form (1 +- c)/4
+with c = a.S b, where a and b are the Bloch vectors and S is the diagonal
+sign matrix diag(1-2s, -(1-2s)(1-2t), 1-2t). The other three probability
+kernels are the oracles it is checked against: the half-angle closed form,
+the interference amplitudes and Born-rule brute force.
+
+The sampler compares each 64-bit splitmix64 word with the integer bound
+floor(c * 2^53) * 2^11 + 2047 of each cdf entry c, which holds for exactly
+the draws whose top 53 bits, scaled to a double, are <= c.
 
 Inputs are assumed pre-validated: angle arrays are 1-d float64 of one shared
 length, s/t are int64 arrays of that length, psi is complex128 with shape
@@ -33,24 +40,17 @@ _SAMPLE_CHUNK = 1 << 16
 
 
 def closed_joint_numpy(mu, eta, nu, zeta, s, t):
-    """Joint probabilities from the closed forms in the angle sums."""
+    """Joint probabilities (1 +- c)/4 from the correlation c = a.S b of the Bloch vectors."""
     sign_s = 1.0 - 2.0 * s
     sign_t = 1.0 - 2.0 * t
-    half_sum = 0.5 * (mu + sign_s * nu)
-    half_azim = 0.5 * (eta + sign_t * zeta)
-    t_is_0 = t == 0
-    tr_t_sum = np.where(t_is_0, np.cos(half_sum), np.sin(half_sum))
-    tr_t1_sum = np.where(t_is_0, np.sin(half_sum), np.cos(half_sum))
-    tr_t_azim = np.where(t_is_0, np.cos(half_azim), np.sin(half_azim))
-    cross = np.cos(0.5 * mu) * np.cos(0.5 * nu) * np.sin(0.5 * mu) * np.sin(0.5 * nu)
-    term = (2.0 * sign_s * sign_t) * (tr_t_azim * tr_t_azim) * cross
-    diag = 0.5 * (tr_t_sum * tr_t_sum) + term
-    off = 0.5 * (tr_t1_sum * tr_t1_sum) - term
-    return np.stack([diag, off, off, diag], axis=1)
+    c = sign_s * np.sin(mu) * np.sin(nu) * np.cos(eta + sign_t * zeta) + sign_t * np.cos(mu) * np.cos(nu)
+    plus = 0.25 * (1.0 + c)
+    minus = 0.25 * (1.0 - c)
+    return np.stack([plus, minus, minus, plus], axis=1)
 
 
 def closed_joint_alt_numpy(mu, eta, nu, zeta, s, t):
-    """Alternate closed forms (flipped polar sign, complementary azimuth factor)."""
+    """Closed forms in the half-angle sums; the every-call cross-check of closed_joint."""
     sign_s = 1.0 - 2.0 * s
     sign_t = 1.0 - 2.0 * t
     half_dif = 0.5 * (mu - sign_s * nu)

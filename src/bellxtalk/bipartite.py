@@ -2,9 +2,13 @@
 
 The distribution of simultaneous outcomes (k, l) is computed by three routes
 that must agree: Born-rule brute force against the tensor eigenvector frame,
-the two-term interference amplitude formula, and closed trigonometric forms
-in the angle sums. Brute force works for any unit state and serves as the
-reference oracle; the other two are specific to Bell states.
+the two-term interference amplitude formula, and the closed form
+p00 = p11 = (1 + c)/4, p01 = p10 = (1 - c)/4 in the correlation c = a.S b of
+the two Bloch vectors (S is a diagonal sign matrix fixed by the Bell label).
+Brute force works for any unit state and serves as the reference oracle; the
+other two are specific to Bell states. The closed form is the production
+path, cross-checked on every call against an alternate closed form in the
+half-angle sums.
 """
 
 from __future__ import annotations
@@ -154,10 +158,11 @@ def joint_distribution_amplitude(pair: ObservablePair, label: BellLabel) -> Join
 
 
 def joint_distribution_closed(pair: ObservablePair, label: BellLabel) -> JointDistribution:
-    """Joint probabilities from the closed forms in the angle sums.
+    """Joint probabilities (1 +- a.S b)/4 from the correlation of the Bloch vectors.
 
-    Both equivalent closed-form variants are evaluated; a disagreement beyond
-    CLOSED_VARIANT_TOL raises InternalConsistencyError instead of averaging.
+    The alternate half-angle closed form is evaluated as well; a disagreement
+    beyond CLOSED_VARIANT_TOL raises InternalConsistencyError instead of
+    averaging.
     """
     mu, eta, nu, zeta, s, t = _point_arrays(pair, label)
     row = joint_closed_batch(mu, eta, nu, zeta, s, t, check=True)[0]
@@ -235,9 +240,10 @@ def _validated_bits(values, n: int, name: str) -> np.ndarray:
 
 
 def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.ndarray:
-    """Closed-form probabilities for angle arrays; shape (n, 4), clamped to [0, 1].
+    """Correlation-form probabilities (1 +- a.S b)/4; shape (n, 4), clamped to [0, 1].
 
-    With check=True the alternate variant is evaluated as well and compared.
+    With check=True the alternate half-angle closed form is evaluated as well
+    and compared.
     """
     mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
     s = _validated_bits(s, mu.shape[0], "s")
@@ -250,7 +256,7 @@ def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.nda
 
 
 def joint_closed_alt_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
-    """Alternate closed-form probabilities; shape (n, 4), clamped to [0, 1]."""
+    """Half-angle closed-form probabilities; shape (n, 4), clamped to [0, 1]."""
     mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
     s = _validated_bits(s, mu.shape[0], "s")
     t = _validated_bits(t, mu.shape[0], "t")

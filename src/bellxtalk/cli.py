@@ -53,8 +53,6 @@ class VarySpec:
     steps: int
 
     def values(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.start])
         return np.linspace(self.start, self.stop, self.steps)
 
 
@@ -143,35 +141,14 @@ def _sweep_grid(args) -> tuple[dict[str, np.ndarray], int]:
         raise ValueError("each --vary parameter may appear only once")
 
     fixed = {name: _to_radians(getattr(args, name), args.deg) for name in _ANGLE_NAMES}
-    series = {}
-    for vary in varies:
-        values = vary.values()
-        if args.deg:
-            values = np.radians(values)
-        series[vary.name] = values
-
-    if not varies:
-        total = 1
-        columns = {name: np.array([fixed[name]]) for name in _ANGLE_NAMES}
-    elif len(varies) == 1:
-        values = series[varies[0].name]
-        total = values.shape[0]
-        columns = {
-            name: values if name == varies[0].name else np.full(total, fixed[name])
-            for name in _ANGLE_NAMES
-        }
-    else:
-        slow = series[varies[0].name]
-        fast = series[varies[1].name]
-        total = slow.shape[0] * fast.shape[0]
-        grid = {
-            varies[0].name: np.repeat(slow, fast.shape[0]),  # first listed varies slowest
-            varies[1].name: np.tile(fast, slow.shape[0]),
-        }
-        columns = {
-            name: grid.get(name, np.full(total, fixed[name]))
-            for name in _ANGLE_NAMES
-        }
+    axes = [np.radians(vary.values()) if args.deg else vary.values() for vary in varies]
+    total = math.prod(len(axis) for axis in axes)
+    # the first listed parameter varies slowest
+    grid = dict(zip(names, (mesh.ravel() for mesh in np.meshgrid(*axes, indexing="ij"))))
+    columns = {
+        name: grid[name] if name in grid else np.full(total, fixed[name])
+        for name in _ANGLE_NAMES
+    }
     return columns, total
 
 

@@ -195,20 +195,23 @@ def solve_independence(
     """Locate parameters where the diagonal probability crosses 1/4.
 
     Evaluates theta(x) - 1/4 on an inclusive grid of `grid` points over
-    [lo, hi], keeps grid points already within theta_tol, and bisects every
-    bracketing sign change. Tangential zeros that do not change sign are
-    found only when a grid point lands within theta_tol (best effort).
+    [lo, hi] in one closed-form batch call, keeps grid points already within
+    theta_tol, and bisects every bracketing sign change. Tangential zeros
+    that do not change sign are found only when a grid point lands within
+    theta_tol (best effort).
     Results are sorted by parameter.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
 
-    def residual(x: float) -> float:
-        dist = bipartite.joint_distribution_closed(path(float(x)), label)
-        return dist.probability(0, 0) - 0.25
+    def residuals(points) -> list[float]:
+        pairs = [path(float(x)) for x in points]
+        angles = np.array([(pair.a.mu, pair.a.eta, pair.b.mu, pair.b.eta) for pair in pairs]).T
+        s, t = np.full(len(pairs), label.s), np.full(len(pairs), label.t)
+        return (bipartite.joint_closed_batch(*angles, s, t)[:, 0] - 0.25).tolist()
 
     xs = np.linspace(float(lo), float(hi), int(grid))
-    values = [residual(x) for x in xs]
+    values = residuals(xs)
     on_grid = [abs(v) <= theta_tol for v in values]
 
     roots = [
@@ -226,7 +229,7 @@ def solve_independence(
         mid, f_mid = a, f_a
         for _ in range(max_iter):
             mid = 0.5 * (a + b)
-            f_mid = residual(mid)
+            (f_mid,) = residuals([mid])
             if abs(f_mid) <= theta_tol:
                 break
             if (f_mid < 0.0) == (f_a < 0.0):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellxtalk import bipartite, qmath
 from bellxtalk.bipartite import (
@@ -261,6 +263,51 @@ class TestBellStateInvariants:
                 primary = joint_closed_batch(mu, eta, nu, zeta, s, t, check=False)
                 alternate = joint_closed_alt_batch(mu, eta, nu, zeta, s, t)
                 assert np.abs(primary - alternate).max() <= 1e-12
+
+
+# poles, 2*pi, plane boundaries, the last doubles below pi and 2*pi, and what
+# --deg turns 90/180/270/360 into (duplicates collapse)
+EDGE_POLAR = sorted({0.0, PI / 4, PI / 2, PI, math.nextafter(PI, 0.0), math.radians(90), math.radians(180)})
+EDGE_AZIMUTH = sorted({0.0, PI / 2, PI, 3 * PI / 2, 2 * PI, math.nextafter(2 * PI, 0.0),
+                       math.radians(90), math.radians(180), math.radians(270), math.radians(360)})
+LABELS = [(s_bit, t_bit) for s_bit in (0, 1) for t_bit in (0, 1)]
+
+
+def _edge_grid(polar, azimuth):
+    """Every (mu, eta, nu, zeta, s, t) over the given values and the four labels."""
+    mesh = np.meshgrid(polar, azimuth, polar, azimuth, (0, 1), (0, 1), indexing="ij")
+    mu, eta, nu, zeta, s, t = (axis.ravel() for axis in mesh)
+    return mu, eta, nu, zeta, s.astype(np.int64), t.astype(np.int64)
+
+
+class TestEdgeAngles:
+    def test_routes_agree_on_edge_grid(self):
+        mu, eta, nu, zeta, s, t = _edge_grid(EDGE_POLAR, EDGE_AZIMUTH)
+        closed = joint_closed_batch(mu, eta, nu, zeta, s, t)
+        others = (
+            joint_closed_alt_batch(mu, eta, nu, zeta, s, t),
+            joint_amplitude_batch(mu, eta, nu, zeta, s, t),
+            joint_bruteforce_batch(mu, eta, nu, zeta, bell_state_batch(s, t)),
+        )
+        for other in others:
+            assert np.abs(closed - other).max() <= 1e-15
+
+    def test_pole_pairs_give_exact_cells(self):
+        mu, eta, nu, zeta, s, t = _edge_grid((0.0, PI), EDGE_AZIMUTH)
+        probs = joint_closed_batch(mu, eta, nu, zeta, s, t)
+        assert np.isin(probs, (0.0, 0.5)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mu=st.sampled_from((0.0, PI)),
+        nu=st.sampled_from((0.0, PI)),
+        eta=st.floats(0.0, 2 * PI),
+        zeta=st.floats(0.0, 2 * PI),
+        label=st.sampled_from(LABELS),
+    )
+    def test_poles_exact_for_any_azimuth(self, mu, nu, eta, zeta, label):
+        dist = joint_distribution_closed(pair_of(mu, eta, nu, zeta), BellLabel(*label))
+        assert set(dist.p) <= {0.0, 0.5}
 
 
 class TestSymmetryEquivalenceOnGeneralStates:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellxtalk import bipartite
 from bellxtalk.bipartite import BellLabel, ObservablePair, joint_closed_batch
 from bellxtalk.independence import (
     ConditionKind,
@@ -232,6 +233,25 @@ class TestSolveIndependence:
         pair = ObservablePair(named_gate("sigma3"), named_gate("sigma3"))
         with pytest.raises(ValueError):
             solve_independence(lambda _x: pair, BellLabel(0, 0), 1)
+
+    def test_grid_costs_one_batch_call(self, monkeypatch):
+        calls = {"point": 0, "batch": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bipartite, "joint_distribution_closed",
+                            counted("point", bipartite.joint_distribution_closed))
+        monkeypatch.setattr(bipartite, "joint_closed_batch", counted("batch", bipartite.joint_closed_batch))
+
+        def path(nu):  # theta = cos^2(nu / 2) / 2 never reaches 1/4 below nu = pi/2
+            return ObservablePair(named_gate("sigma3"), Observable(nu, 0.0))
+
+        assert solve_independence(path, BellLabel(0, 0), 1000, lo=0.0, hi=1.0) == []
+        assert calls == {"point": 0, "batch": 1}
 
 
 def test_nan_angle_tolerance_is_rejected():
