@@ -9,7 +9,9 @@ module. Importing allocates no arrays.
 with c = a.S b, where a and b are the Bloch vectors and S is the diagonal
 sign matrix diag(1-2s, -(1-2s)(1-2t), 1-2t). The other three probability
 kernels are the oracles it is checked against: the half-angle closed form,
-the interference amplitudes and Born-rule brute force.
+the interference amplitudes and Born-rule brute force. Brute force works in
+struct-of-arrays form, the row index last: its frames and the state are
+(2, 2, n) stacks, contracted by broadcast multiply-adds over whole rows.
 
 The sampler compares each 64-bit splitmix64 word with the integer bound
 floor(c * 2^53) * 2^11 + 2047 of each cdf entry c, which holds for exactly
@@ -91,25 +93,32 @@ def amplitude_joint_numpy(mu, eta, nu, zeta, s, t):
     return out
 
 
+def _conjugate_frame(polar, azimuth):
+    """conj(u[k, a]) of the eigenvector frame u_0 = (e^-i*phi c, s), u_1 = (-e^-i*phi s, c); shape (2, 2, n)."""
+    c, sn = np.cos(0.5 * polar), np.sin(0.5 * polar)
+    phase = np.exp(1j * azimuth)
+    frame = np.empty((2, 2, polar.shape[0]), dtype=np.complex128)
+    frame[0, 0] = phase * c
+    frame[0, 1] = sn
+    frame[1, 0] = -phase * sn
+    frame[1, 1] = c
+    return frame
+
+
 def bruteforce_joint_numpy(mu, eta, nu, zeta, psi):
-    """Born-rule probabilities |<u_k u_l|psi>|^2 against the eigenvector frame."""
+    """Born-rule probabilities |<u_k u_l|psi>|^2 against the eigenvector frame.
+
+    Struct-of-arrays form, the row index last: psi is read as psi[a, b, n],
+    contracted with conj(u_b[l, b]) over b and then with conj(u_a[k, a]) over
+    a, each a two-term broadcast multiply-add. Any state psi is accepted.
+    """
     n = mu.shape[0]
-    cm, sm = np.cos(0.5 * mu), np.sin(0.5 * mu)
-    cn, sn = np.cos(0.5 * nu), np.sin(0.5 * nu)
-    ph_a = np.exp(-1j * eta)
-    ph_b = np.exp(-1j * zeta)
-    ua = np.empty((n, 2, 2), dtype=np.complex128)
-    ua[:, 0, 0] = ph_a * cm
-    ua[:, 0, 1] = sm
-    ua[:, 1, 0] = -ph_a * sm
-    ua[:, 1, 1] = cm
-    ub = np.empty((n, 2, 2), dtype=np.complex128)
-    ub[:, 0, 0] = ph_b * cn
-    ub[:, 0, 1] = sn
-    ub[:, 1, 0] = -ph_b * sn
-    ub[:, 1, 1] = cn
-    amps = np.einsum("nka,nlb,nab->nkl", ua.conj(), ub.conj(), psi.reshape(n, 2, 2))
-    return (amps.real * amps.real + amps.imag * amps.imag).reshape(n, 4)
+    ua = _conjugate_frame(mu, eta)
+    ub = _conjugate_frame(nu, zeta)
+    state = psi.T.reshape(2, 2, n)
+    half = ub[:, None, 0] * state[None, :, 0] + ub[:, None, 1] * state[None, :, 1]  # [l, a, n]
+    amps = ua[:, None, 0] * half[None, :, 0] + ua[:, None, 1] * half[None, :, 1]  # [k, l, n]
+    return (amps.real * amps.real + amps.imag * amps.imag).reshape(4, n).T
 
 
 def _draw_bound(c):

@@ -30,9 +30,9 @@ CSV_HEADER = "mu,eta,nu,zeta,s,t,p00,p01,p10,p11,entropy,mutual_info,degree,inde
 #: sweep rows formatted and written per block; the formatted text in memory
 #: stays at one block whatever the grid size
 SWEEP_BLOCK_ROWS = 4096
-#: verify tuples per block of lifted 4x4 commutators; their memory stays at
-#: one block whatever --samples is
-COMMUTATOR_BLOCK_ROWS = 4096
+#: verify tuples per block; every route, reduction and check runs one block at
+#: a time, so verify's memory beyond the drawn angles stays at one block
+VERIFY_BLOCK_ROWS = 4096
 
 _ANGLE_NAMES = ("mu", "eta", "nu", "zeta")
 _PLANE_FLAGS = {"x0": Plane.X_ZERO, "y0": Plane.Y_ZERO, "z0": Plane.Z_ZERO}
@@ -262,10 +262,12 @@ class VerificationResult:
 def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
     """Cross-validate the three probability routes on random angle tuples.
 
-    Draws (mu, eta, nu, zeta, s, t) uniformly, evaluates all routes plus the
-    alternate closed variant, and aggregates worst-case pairwise gaps along
-    with the distribution invariants (normalization, diagonal symmetry,
-    uniform marginals) and the lifted commutator norm.
+    Draws (mu, eta, nu, zeta, s, t) uniformly, all six columns at once, so a
+    seed gives the same tuples whatever the block size. Every route (closed,
+    alternate closed, amplitude, brute force), reduction and check then runs
+    VERIFY_BLOCK_ROWS tuples at a time, so memory beyond the drawn columns
+    stays at one block. Per-block maxima are kept, and the worst tuple is the
+    first row, over all blocks, with the largest three-method gap.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -277,42 +279,54 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
     s = rng.integers(0, 2, samples)
     t = rng.integers(0, 2, samples)
 
-    closed = bipartite.joint_closed_batch(mu, eta, nu, zeta, s, t, check=False)
-    alternate = bipartite.joint_closed_alt_batch(mu, eta, nu, zeta, s, t)
-    amplitude = bipartite.joint_amplitude_batch(mu, eta, nu, zeta, s, t)
-    brute = bipartite.joint_bruteforce_batch(mu, eta, nu, zeta, bipartite.bell_state_batch(s, t))
+    block_maxima, block_worst_rows = [], []
+    for start in range(0, samples, VERIFY_BLOCK_ROWS):
+        block = slice(start, start + VERIFY_BLOCK_ROWS)
+        angles = mu[block], eta[block], nu[block], zeta[block]
+        bits = s[block], t[block]
+        closed = bipartite.joint_closed_batch(*angles, *bits, check=False)
+        alternate = bipartite.joint_closed_alt_batch(*angles, *bits)
+        amplitude = bipartite.joint_amplitude_batch(*angles, *bits)
+        brute = bipartite.joint_bruteforce_batch(*angles, bipartite.bell_state_batch(*bits))
 
-    method_gap = np.maximum(
-        np.abs(closed - amplitude),
-        np.maximum(np.abs(closed - brute), np.abs(amplitude - brute)),
-    )
-    per_row_gap = method_gap.max(axis=1)
-    worst_row = int(per_row_gap.argmax())
+        method_gap = np.maximum(
+            np.abs(closed - amplitude),
+            np.maximum(np.abs(closed - brute), np.abs(amplitude - brute)),
+        ).max(axis=1)
+        worst = int(method_gap.argmax())
+        block_worst_rows.append(start + worst)
+        block_maxima.append((
+            method_gap[worst],
+            max(np.abs(m.sum(axis=1) - 1.0).max() for m in (closed, amplitude, brute)),
+            max(
+                np.abs(amplitude[:, 0] - amplitude[:, 3]).max(),
+                np.abs(amplitude[:, 1] - amplitude[:, 2]).max(),
+                np.abs(brute[:, 0] - brute[:, 3]).max(),
+                np.abs(brute[:, 1] - brute[:, 2]).max(),
+            ),
+            max(
+                np.abs(brute[:, 0] + brute[:, 1] - 0.5).max(),
+                np.abs(brute[:, 2] + brute[:, 3] - 0.5).max(),
+                np.abs(brute[:, 0] + brute[:, 2] - 0.5).max(),
+                np.abs(brute[:, 1] + brute[:, 3] - 0.5).max(),
+            ),
+            np.abs(closed - alternate).max(),
+            _max_commutator_norm(*angles),
+        ))
 
-    klein = max(
-        float(np.abs(amplitude[:, 0] - amplitude[:, 3]).max()),
-        float(np.abs(amplitude[:, 1] - amplitude[:, 2]).max()),
-        float(np.abs(brute[:, 0] - brute[:, 3]).max()),
-        float(np.abs(brute[:, 1] - brute[:, 2]).max()),
-    )
-    marginal = max(
-        float(np.abs(brute[:, 0] + brute[:, 1] - 0.5).max()),
-        float(np.abs(brute[:, 2] + brute[:, 3] - 0.5).max()),
-        float(np.abs(brute[:, 0] + brute[:, 2] - 0.5).max()),
-        float(np.abs(brute[:, 1] + brute[:, 3] - 0.5).max()),
-    )
-
+    maxima = np.array(block_maxima)
+    # argmax takes the first of equal maxima, so the first worst block's first worst row
+    worst_row = block_worst_rows[int(maxima[:, 0].argmax())]
+    gap, sum_error, klein, marginal, variant, commutator = maxima.max(axis=0).tolist()
     return VerificationResult(
         samples=samples,
         seed=seed,
-        max_method_gap=float(per_row_gap[worst_row]),
-        max_sum_error=max(
-            float(np.abs(m.sum(axis=1) - 1.0).max()) for m in (closed, amplitude, brute)
-        ),
+        max_method_gap=gap,
+        max_sum_error=sum_error,
         max_klein_gap=klein,
         max_marginal_gap=marginal,
-        max_variant_gap=float(np.abs(closed - alternate).max()),
-        max_commutator=_max_commutator_norm(mu, eta, nu, zeta),
+        max_variant_gap=variant,
+        max_commutator=commutator,
         worst_tuple=(
             float(mu[worst_row]), float(eta[worst_row]),
             float(nu[worst_row]), float(zeta[worst_row]),
@@ -321,33 +335,56 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
     )
 
 
+_EYE2 = np.eye(2, dtype=np.complex128)
+
+
 def _observable_matrices(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    n = polar.shape[0]
-    mats = np.empty((n, 2, 2), dtype=np.complex128)
+    """[[cos, e^-i*azimuth sin], [e^i*azimuth sin, -cos]] of each row; shape (2, 2, n)."""
+    mats = np.empty((2, 2, polar.shape[0]), dtype=np.complex128)
     c, sn = np.cos(polar), np.sin(polar)
     phase = np.exp(-1j * azimuth)
-    mats[:, 0, 0] = c
-    mats[:, 0, 1] = phase * sn
-    mats[:, 1, 0] = np.conj(phase) * sn
-    mats[:, 1, 1] = -c
+    mats[0, 0] = c
+    mats[0, 1] = phase * sn
+    mats[1, 0] = np.conj(phase) * sn
+    mats[1, 1] = -c
     return mats
 
 
+def _lift_first(a: np.ndarray) -> np.ndarray:
+    """a (x) I of each 2x2 in a (2, 2, n) stack; shape (4, 4, n)."""
+    return np.einsum("ijn,kl->ikjln", a, _EYE2).reshape(4, 4, -1)
+
+
+def _lift_second(b: np.ndarray) -> np.ndarray:
+    """I (x) b of each 2x2 in a (2, 2, n) stack; shape (4, 4, n)."""
+    return np.einsum("ij,kln->ikjln", _EYE2, b).reshape(4, 4, -1)
+
+
+def _matmul_rows_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for (4, 4, n) stacks of matrices: four broadcast multiply-adds over the inner index."""
+    out = x[:, 0, None] * y[0]
+    for k in range(1, 4):
+        out += x[:, k, None] * y[k]
+    return out
+
+
 def _max_commutator_norm(mu, eta, nu, zeta) -> float:
-    """Largest Frobenius norm of [A (x) I, I (x) B], COMMUTATOR_BLOCK_ROWS tuples at a time."""
-    eye = np.eye(2, dtype=np.complex128)
+    """Largest Frobenius norm of [A (x) I, I (x) B], VERIFY_BLOCK_ROWS tuples at a time.
+
+    Struct-of-arrays form, the row index last: the generic Kronecker lifts
+    and both full 4x4 products are (4, 4, n) stacks, and each squared norm
+    sums the squares of the commutator's float64 view.
+    """
     block_max = []
-    for start in range(0, len(mu), COMMUTATOR_BLOCK_ROWS):
-        block = slice(start, start + COMMUTATOR_BLOCK_ROWS)
-        a = _observable_matrices(mu[block], eta[block])
-        b = _observable_matrices(nu[block], zeta[block])
-        n = a.shape[0]
-        lift_a = np.einsum("nij,kl->nikjl", a, eye).reshape(n, 4, 4)
-        lift_b = np.einsum("ij,nkl->nikjl", eye, b).reshape(n, 4, 4)
-        comm = lift_a @ lift_b - lift_b @ lift_a
-        norms = np.sqrt((np.abs(comm) ** 2).sum(axis=(1, 2)))
-        block_max.append(norms.max())
-    return float(np.max(block_max))
+    for start in range(0, len(mu), VERIFY_BLOCK_ROWS):
+        block = slice(start, start + VERIFY_BLOCK_ROWS)
+        lift_a = _lift_first(_observable_matrices(mu[block], eta[block]))
+        lift_b = _lift_second(_observable_matrices(nu[block], zeta[block]))
+        comm = _matmul_rows_last(lift_a, lift_b) - _matmul_rows_last(lift_b, lift_a)
+        parts = comm.reshape(16, -1).view(np.float64)  # re, im of each row side by side
+        squares = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
+        block_max.append(squares.max())
+    return float(np.sqrt(np.max(block_max)))
 
 
 def cmd_verify(args) -> int:
@@ -399,14 +436,16 @@ def cmd_independence(args) -> int:
         if args.eta is not None:
             raise ValueError(f"plane {args.plane} takes a --mu anchor, not --eta")
 
+    if anchor is not None:  # a bad anchor raises here, before anything is printed
+        anchor_rad = _to_radians(anchor, args.deg)
+        partners = independence.partner_angles(plane, label, anchor_rad)
+
     targets = ", ".join(_fmt(v) for v in cond.target_values)
     multiples = ", ".join(f"{v / math.pi:g}*pi" for v in cond.target_values)
     print(f"plane: {plane.value}")
     print(f"bell label: s={label.s} t={label.t}")
     print(f"condition: {lhs} in {{{targets}}}  ({multiples})")
     if anchor is not None:
-        anchor_rad = _to_radians(anchor, args.deg)
-        partners = independence.partner_angles(plane, label, anchor_rad)
         values = ", ".join(_fmt(v) for v in partners) if partners else "none"
         print(f"solutions for {partner_name} at {anchor_name}={_fmt(anchor_rad)}: {values}")
     return EXIT_OK

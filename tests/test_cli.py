@@ -212,6 +212,35 @@ class TestVerify:
     def test_sample_count_validation(self, capsys):
         assert run_cli(capsys, "verify", "--samples", "0")[0] == 2
 
+    @pytest.mark.parametrize("samples", [6, 7, 8, 1000])
+    def test_block_boundaries_do_not_change_the_result(self, samples, monkeypatch):
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", samples)
+        whole = run_verification(samples=samples, seed=12)
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", 7)
+        assert run_verification(samples=samples, seed=12) == whole
+
+    def test_memory_grows_only_by_the_drawn_angles(self):
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                run_verification(samples=samples, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_verification(samples=10, seed=3)  # one-time allocations stay out of both peaks
+        n = 16384
+        assert (peak(4 * n) - peak(n)) / (3 * n) < 100
+
+    def test_planted_wrong_lift_fails_the_commutator_check(self, capsys, monkeypatch):
+        # B lifted onto the first factor: [A (x) I, B (x) I] = [A, B] (x) I is not zero
+        monkeypatch.setattr(cli, "_lift_second", cli._lift_first)
+        code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "2")
+        assert code == 1
+        line = next(l for l in out.splitlines() if "lifted commutator norm" in l)
+        assert line.split()[-1] == "FAIL"
+        assert float(line.split()[-2]) > 0.1
+
 
 class TestIndependenceCommand:
     @staticmethod
@@ -250,6 +279,17 @@ class TestIndependenceCommand:
 
     def test_unknown_plane_rejected(self, capsys):
         assert run_cli(capsys, "independence", "--plane", "w0", "--s", "0", "--t", "0")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--plane", "x0", "--s", "0", "--t", "0", "--mu", "7"),
+        ("--plane", "x0", "--s", "0", "--t", "0", "--mu", "nan"),
+        ("--plane", "z0", "--s", "1", "--t", "0", "--eta", "7"),
+    ])
+    def test_bad_anchor_prints_nothing_to_stdout(self, capsys, argv):
+        code, out, err = run_cli(capsys, "independence", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: anchor must lie in")
 
 
 class TestSampleCommand:
@@ -484,7 +524,7 @@ def test_commutator_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
 
-    rows = 4 * cli.COMMUTATOR_BLOCK_ROWS
+    rows = 4 * cli.VERIFY_BLOCK_ROWS
     assert peak(4 * rows) < 1.5 * peak(rows)
 
 

@@ -1,12 +1,67 @@
-"""The numpy kernels: the sampler against an independent splitmix64 reference, and imports."""
+"""The numpy kernels: brute force and the sampler against independent references, and imports."""
 
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from bellxtalk import _kernels
+from bellxtalk import _kernels, bipartite
+from test_bipartite import EDGE_AZIMUTH, EDGE_POLAR, _edge_grid
+
+
+def reference_bruteforce(mu, eta, nu, zeta, psi):
+    """Born rule as one 3-operand einsum over (n, 2, 2) frames: the kernel's former form."""
+    n = mu.shape[0]
+    cm, sm = np.cos(0.5 * mu), np.sin(0.5 * mu)
+    cn, sn = np.cos(0.5 * nu), np.sin(0.5 * nu)
+    ph_a = np.exp(-1j * eta)
+    ph_b = np.exp(-1j * zeta)
+    ua = np.empty((n, 2, 2), dtype=np.complex128)
+    ua[:, 0, 0] = ph_a * cm
+    ua[:, 0, 1] = sm
+    ua[:, 1, 0] = -ph_a * sm
+    ua[:, 1, 1] = cm
+    ub = np.empty((n, 2, 2), dtype=np.complex128)
+    ub[:, 0, 0] = ph_b * cn
+    ub[:, 0, 1] = sn
+    ub[:, 1, 0] = -ph_b * sn
+    ub[:, 1, 1] = cn
+    amps = np.einsum("nka,nlb,nab->nkl", ua.conj(), ub.conj(), psi.reshape(n, 2, 2))
+    return (amps.real * amps.real + amps.imag * amps.imag).reshape(n, 4)
+
+
+def _random_angles(rng, n):
+    return (rng.uniform(0.0, math.pi, n), rng.uniform(0.0, 2 * math.pi, n),
+            rng.uniform(0.0, math.pi, n), rng.uniform(0.0, 2 * math.pi, n))
+
+
+@pytest.mark.parametrize("s, t", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_bruteforce_matches_einsum_reference_on_random_rows(s, t):
+    rng = np.random.default_rng(10 + 2 * s + t)
+    angles = _random_angles(rng, 5000)
+    psi = bipartite.bell_state_batch(np.full(5000, s), np.full(5000, t))
+    got = _kernels.bruteforce_joint(*angles, psi)
+    assert got.shape == (5000, 4)
+    assert np.abs(got - reference_bruteforce(*angles, psi)).max() <= 1e-15
+
+
+def test_bruteforce_matches_einsum_reference_on_edge_grid():
+    mu, eta, nu, zeta, s, t = _edge_grid(EDGE_POLAR, EDGE_AZIMUTH)
+    psi = bipartite.bell_state_batch(s, t)
+    got = _kernels.bruteforce_joint(mu, eta, nu, zeta, psi)
+    assert np.abs(got - reference_bruteforce(mu, eta, nu, zeta, psi)).max() <= 1e-15
+
+
+def test_bruteforce_matches_einsum_reference_on_non_bell_states():
+    rng = np.random.default_rng(11)
+    angles = _random_angles(rng, 5000)
+    psi = rng.normal(size=(5000, 4)) + 1j * rng.normal(size=(5000, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    got = _kernels.bruteforce_joint(*angles, psi)
+    assert np.abs(got - reference_bruteforce(*angles, psi)).max() <= 1e-15
 
 
 def test_sampler_matches_reference_implementation():
