@@ -9,6 +9,12 @@ Brute force works for any unit state and serves as the reference oracle; the
 other two are specific to Bell states. The closed form is the production
 path, cross-checked on every call against an alternate closed form in the
 half-angle sums.
+
+Batches go through the joint_*_batch wrappers, which validate the arrays and
+clamp. A single pair (joint_distribution_closed) calls the closed kernels
+directly on its one-row arrays: the Observable and BellLabel constructors
+have validated its angles and bits, and JointDistribution checks and clamps
+the cells. The closed-variant cross-check runs on both routes.
 """
 
 from __future__ import annotations
@@ -160,13 +166,17 @@ def joint_distribution_amplitude(pair: ObservablePair, label: BellLabel) -> Join
 def joint_distribution_closed(pair: ObservablePair, label: BellLabel) -> JointDistribution:
     """Joint probabilities (1 +- a.S b)/4 from the correlation of the Bloch vectors.
 
-    The alternate half-angle closed form is evaluated as well; a disagreement
+    Calls the closed kernels on the pair's one-row arrays, without the batch
+    wrapper: Observable and BellLabel have already validated the angles and
+    bits, and JointDistribution checks the range and the sum and clamps. The
+    alternate half-angle closed form is evaluated as well; a disagreement
     beyond CLOSED_VARIANT_TOL raises InternalConsistencyError instead of
     averaging.
     """
-    mu, eta, nu, zeta, s, t = _point_arrays(pair, label)
-    row = joint_closed_batch(mu, eta, nu, zeta, s, t, check=True)[0]
-    return JointDistribution(tuple(row))
+    arrays = _point_arrays(pair, label)
+    primary = _kernels.closed_joint(*arrays)
+    _require_variant_agreement(primary, _kernels.closed_joint_alt(*arrays))
+    return JointDistribution(tuple(primary[0].tolist()))
 
 
 def marginals(dist: JointDistribution) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -234,7 +244,7 @@ def _validated_bits(values, n: int, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.int64)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a 1-d array of length {n}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
     return arr
 

@@ -33,6 +33,10 @@ SWEEP_BLOCK_ROWS = 4096
 #: verify tuples per block; every route, reduction and check runs one block at
 #: a time, so verify's memory beyond the drawn angles stays at one block
 VERIFY_BLOCK_ROWS = 4096
+#: tuples per commutator tile; its (4, 4, n) complex stacks take 128 KB each,
+#: so a 4096-tuple call peaks near 1 MB and glibc reuses that memory from block
+#: to block instead of returning it to the OS and faulting it back in
+COMMUTATOR_TILE_ROWS = 512
 
 _ANGLE_NAMES = ("mu", "eta", "nu", "zeta")
 _PLANE_FLAGS = {"x0": Plane.X_ZERO, "y0": Plane.Y_ZERO, "z0": Plane.Z_ZERO}
@@ -369,22 +373,22 @@ def _matmul_rows_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _max_commutator_norm(mu, eta, nu, zeta) -> float:
-    """Largest Frobenius norm of [A (x) I, I (x) B], VERIFY_BLOCK_ROWS tuples at a time.
+    """Largest Frobenius norm of [A (x) I, I (x) B], COMMUTATOR_TILE_ROWS tuples at a time.
 
     Struct-of-arrays form, the row index last: the generic Kronecker lifts
     and both full 4x4 products are (4, 4, n) stacks, and each squared norm
     sums the squares of the commutator's float64 view.
     """
-    block_max = []
-    for start in range(0, len(mu), VERIFY_BLOCK_ROWS):
-        block = slice(start, start + VERIFY_BLOCK_ROWS)
-        lift_a = _lift_first(_observable_matrices(mu[block], eta[block]))
-        lift_b = _lift_second(_observable_matrices(nu[block], zeta[block]))
+    tile_max = []
+    for start in range(0, len(mu), COMMUTATOR_TILE_ROWS):
+        tile = slice(start, start + COMMUTATOR_TILE_ROWS)
+        lift_a = _lift_first(_observable_matrices(mu[tile], eta[tile]))
+        lift_b = _lift_second(_observable_matrices(nu[tile], zeta[tile]))
         comm = _matmul_rows_last(lift_a, lift_b) - _matmul_rows_last(lift_b, lift_a)
         parts = comm.reshape(16, -1).view(np.float64)  # re, im of each row side by side
         squares = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
-        block_max.append(squares.max())
-    return float(np.sqrt(np.max(block_max)))
+        tile_max.append(squares.max())
+    return float(np.sqrt(np.max(tile_max)))
 
 
 def cmd_verify(args) -> int:

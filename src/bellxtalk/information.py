@@ -43,12 +43,20 @@ def entropy_theta(theta: float) -> float:
 
 def shannon_entropy(dist: JointDistribution) -> float:
     """Entropy -sum p*ln(p) of the four-cell distribution, in nats."""
-    return float(shannon_entropy_rows(dist.as_array()[np.newaxis, :])[0])
+    return sum((-x * math.log(x) for x in dist.p if x > 0.0), 0.0)
 
 
 def mutual_information(dist: JointDistribution) -> float:
     """Information flow between the two measurements, in nats; never negative."""
-    return float(mutual_information_rows(dist.as_array()[np.newaxis, :])[0])
+    p00, p01, p10, p11 = dist.p
+    pa0, pa1 = p00 + p01, p10 + p11
+    pb0, pb1 = p00 + p10, p01 + p11
+    cells = ((p00, pa0 * pb0), (p01, pa0 * pb1), (p10, pa1 * pb0), (p11, pa1 * pb1))
+    return max(sum((x * math.log(x / product) for x, product in cells if x > 0.0), 0.0), 0.0)
+
+
+def _degree(mutual_info: float) -> float:
+    return min(1.0, max(0.0, mutual_info / LN2))
 
 
 def degree_of_dependence(dist: JointDistribution) -> float:
@@ -56,7 +64,7 @@ def degree_of_dependence(dist: JointDistribution) -> float:
 
     0 exactly at independence; 1 for perfectly (anti)correlated outcomes.
     """
-    return float(degree_rows(dist.as_array()[np.newaxis, :])[0])
+    return _degree(mutual_information(dist))
 
 
 def is_informationally_independent(dist: JointDistribution, tol: float = DEFAULT_INDEPENDENCE_TOL) -> bool:
@@ -85,11 +93,12 @@ class CrosstalkReport:
 
 def report_from_distribution(dist: JointDistribution, tol: float = DEFAULT_INDEPENDENCE_TOL) -> CrosstalkReport:
     """Assemble the crosstalk summary of an existing distribution."""
+    mutual_info = mutual_information(dist)
     return CrosstalkReport(
         theta=dist.probability(0, 0),
         entropy=shannon_entropy(dist),
-        mutual_info=mutual_information(dist),
-        degree=degree_of_dependence(dist),
+        mutual_info=mutual_info,
+        degree=_degree(mutual_info),
         independent=is_informationally_independent(dist, tol),
         tolerance=float(tol),
     )

@@ -377,6 +377,18 @@ class TestInternalConsistency:
         shifted = good + 1e-12
         bipartite._require_variant_agreement(good, shifted)
 
+    def test_point_route_checks_every_call(self, monkeypatch):
+        alternate = bipartite._kernels.closed_joint_alt
+
+        def shifted(*args):
+            out = alternate(*args)
+            out[:, 0] += 1e-9
+            return out
+
+        monkeypatch.setattr(bipartite._kernels, "closed_joint_alt", shifted)
+        with pytest.raises(InternalConsistencyError):
+            joint_distribution_closed(pair_of(0.4, 1.3, 2.1, 5.0), BellLabel(1, 0))
+
 
 class TestBatchValidation:
     def test_angle_domain(self):
@@ -394,6 +406,16 @@ class TestBatchValidation:
         z = np.zeros(1)
         with pytest.raises(ValueError):
             joint_closed_batch(z, z, z, z, np.array([2]), np.array([0]))
+
+    @pytest.mark.parametrize("route", [joint_closed_batch, joint_closed_alt_batch, joint_amplitude_batch])
+    @pytest.mark.parametrize("name", ["s", "t"])
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_bits_outside_zero_one_are_named(self, route, name, bad):
+        z = np.zeros(3)
+        bits = {"s": np.array([0, 1, 0]), "t": np.array([1, 0, 1])}
+        bits[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} entries must be 0 or 1"):
+            route(z, z, z, z, bits["s"], bits["t"])
 
     def test_psi_shape(self):
         z = np.zeros(2)

@@ -528,6 +528,33 @@ def test_commutator_memory_does_not_grow_with_samples():
     assert peak(4 * rows) < 1.5 * peak(rows)
 
 
+def test_commutator_tile_peak_stays_small():
+    angles = np.random.default_rng(6).uniform(0.0, PI, (4, cli.VERIFY_BLOCK_ROWS))
+    cli._max_commutator_norm(*angles)
+    tracemalloc.start()
+    try:
+        cli._max_commutator_norm(*angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
+def test_point_route_variant_disagreement_exits_1(capsys, monkeypatch):
+    alternate = bipartite._kernels.closed_joint_alt
+
+    def shifted(*args):
+        out = alternate(*args)
+        out[:, 0] += 1e-9
+        return out
+
+    monkeypatch.setattr(bipartite._kernels, "closed_joint_alt", shifted)
+    code, out, err = run_cli(capsys, "probs", "--mu", "0.4", "--eta", "1.3", "--nu", "2.1", "--zeta", "5.0")
+    assert code == 1
+    assert out == ""
+    assert "internal consistency failure" in err
+
+
 def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
     out = tmp_path / "sweep.csv"
     out.write_bytes(b"previous contents\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellxtalk import _kernels, bipartite, sampler
 from bellxtalk.bipartite import BellLabel, JointDistribution, ObservablePair
 from bellxtalk.information import (
     LN2,
@@ -187,7 +188,9 @@ class TestCrosstalkReport:
 class TestRowHelpers:
     def test_match_scalar_functions(self):
         rng = np.random.default_rng(43)
-        rows = rng.dirichlet(np.ones(4), size=64)
+        empirical = sampler.empirical_distribution(sampler.SampleCounts(n=100, counts=(37, 0, 12, 51), seed=0))
+        zero_cells = [(0.5, 0.0, 0.0, 0.5), (1.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.5, 0.0), empirical.p]
+        rows = np.vstack([rng.dirichlet(np.ones(4), size=64), zero_cells])
         entropies = shannon_entropy_rows(rows)
         infos = mutual_information_rows(rows)
         degrees = degree_rows(rows)
@@ -203,6 +206,22 @@ class TestRowHelpers:
         assert shannon_entropy_rows(rows)[1] == 0.0
         assert mutual_information_rows(rows)[0] == pytest.approx(LN2, abs=1e-15)
         assert mutual_information_rows(rows)[1] == 0.0
+
+
+def test_point_report_calls_the_kernels_once_each(monkeypatch):
+    calls = {"batch": 0, "closed": 0, "alt": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bipartite, "joint_closed_batch", counted("batch", bipartite.joint_closed_batch))
+    monkeypatch.setattr(_kernels, "closed_joint", counted("closed", _kernels.closed_joint))
+    monkeypatch.setattr(_kernels, "closed_joint_alt", counted("alt", _kernels.closed_joint_alt))
+    crosstalk_report(ObservablePair(Observable(0.4, 1.3), Observable(2.1, 5.0)), BellLabel(1, 0))
+    assert calls == {"batch": 0, "closed": 1, "alt": 1}
 
 
 def test_report_from_distribution_plumbs_tolerance():
