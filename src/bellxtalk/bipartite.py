@@ -15,6 +15,13 @@ clamp. A single pair (joint_distribution_closed) calls the closed kernels
 directly on its one-row arrays: the Observable and BellLabel constructors
 have validated its angles and bits, and JointDistribution checks and clamps
 the cells. The closed-variant cross-check runs on both routes.
+
+Each piece of two-qubit algebra is written once, in struct-of-arrays form
+with the row index last: the lifts A tensor I and I tensor B (lift_first,
+lift_second, on a 2x2 operator or a (2, 2, n) stack), the lifted commutator
+norms (commutator_norms) and the brute-force kernel. The one-pair functions
+(commutator_norm, joint_distribution_bruteforce, bell_state) are one-row
+calls of them.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, qmath
-from .observables import IDENTITY2, TWO_PI, Observable, eigenvector, matrix
+from . import _kernels
+from .observables import IDENTITY2, TWO_PI, Observable, eigenvector, matrices
 
 #: fixed cell order for joint outcomes (k, l); all arrays and CSV output use it
 INDEX_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -104,10 +111,7 @@ class OutcomeFrame:
 
 def bell_state(label: BellLabel) -> np.ndarray:
     """State vector (|0 t> + (-1)^s |1 (t+1)>)/sqrt(2) in the product basis."""
-    psi = np.zeros(4, dtype=np.complex128)
-    psi[label.t] = 1.0
-    psi[2 + (label.t + 1) % 2] = -1.0 if label.s else 1.0
-    return psi / math.sqrt(2.0)
+    return bell_state_batch([label.s], [label.t])[0]
 
 
 def bell_state_batch(s, t) -> np.ndarray:
@@ -123,37 +127,56 @@ def bell_state_batch(s, t) -> np.ndarray:
     return psi
 
 
+def _operator(m) -> np.ndarray:
+    """m as complex128, checked to be a finite 2x2 matrix or a (2, 2, n) stack."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[:2] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or a (2, 2, n) stack, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    return m
+
+
 def lift_first(a) -> np.ndarray:
-    """Lift a 2x2 operator to act on the first qubit: a tensor identity."""
-    return qmath.tensor_mat(a, IDENTITY2)
+    """a tensor identity: a 2x2 operator lifted to act on the first qubit.
+
+    A (2, 2, n) stack is lifted row by row into a (4, 4, n) stack.
+    """
+    a = _operator(a)
+    return np.einsum("ij...,kl->ikjl...", a, IDENTITY2).reshape((4, 4) + a.shape[2:])
 
 
 def lift_second(b) -> np.ndarray:
-    """Lift a 2x2 operator to act on the second qubit: identity tensor b."""
-    return qmath.tensor_mat(IDENTITY2, b)
+    """identity tensor b: a 2x2 operator lifted to act on the second qubit.
+
+    A (2, 2, n) stack is lifted row by row into a (4, 4, n) stack.
+    """
+    b = _operator(b)
+    return np.einsum("ij,kl...->ikjl...", IDENTITY2, b).reshape((4, 4) + b.shape[2:])
 
 
 def outcome_frame(pair: ObservablePair) -> OutcomeFrame:
     """Orthonormal frame of common eigenvectors of both lifted observables."""
-    rows = [
-        qmath.tensor_vec(eigenvector(pair.a, k), eigenvector(pair.b, ell))
-        for k, ell in INDEX_ORDER
-    ]
+    rows = [np.kron(eigenvector(pair.a, k), eigenvector(pair.b, ell)) for k, ell in INDEX_ORDER]
     return OutcomeFrame(vectors=np.array(rows))
 
 
 def joint_distribution_bruteforce(pair: ObservablePair, psi) -> JointDistribution:
     """Born-rule probabilities |<frame_kl|psi>|^2 for an arbitrary unit state.
 
-    Reference oracle for the amplitude and closed-form routes.
+    Reference oracle for the amplitude and closed-form routes: one row of the
+    brute-force kernel, on the pair's angles and psi.
     """
-    psi = qmath.as_vector(psi, dim=4)
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.shape != (4,):
+        raise ValueError(f"psi must be a vector of length 4, got shape {psi.shape}")
+    if not np.isfinite(psi).all():
+        raise ValueError("psi has non-finite components")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector has norm {norm}, expected 1")
-    frame = outcome_frame(pair)
-    probs = tuple(abs(qmath.inner(row, psi)) ** 2 for row in frame.vectors)
-    return JointDistribution(probs)
+    row = _kernels.bruteforce_joint(*_angle_arrays(pair), psi[np.newaxis, :])[0]
+    return JointDistribution(tuple(row.tolist()))
 
 
 def joint_distribution_amplitude(pair: ObservablePair, label: BellLabel) -> JointDistribution:
@@ -187,10 +210,31 @@ def marginals(dist: JointDistribution) -> tuple[tuple[float, float], tuple[float
 
 def commutator_norm(pair: ObservablePair) -> float:
     """Frobenius norm of [a tensor I, I tensor b]; zero exactly when they commute."""
-    big_a = lift_first(matrix(pair.a))
-    big_b = lift_second(matrix(pair.b))
-    comm = qmath.mat_mul(big_a, big_b) - qmath.mat_mul(big_b, big_a)
-    return qmath.frobenius_norm(comm)
+    return float(commutator_norms(*_angle_arrays(pair))[0])
+
+
+def _matmul_rows_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for (4, 4, n) stacks of matrices: four broadcast multiply-adds over the inner index."""
+    out = x[:, 0, None] * y[0]
+    for k in range(1, 4):
+        out += x[:, k, None] * y[k]
+    return out
+
+
+def commutator_norms(mu, eta, nu, zeta) -> np.ndarray:
+    """Frobenius norm of [A tensor I, I tensor B] for each row of angles; shape (n,).
+
+    Struct-of-arrays form, the row index last: the generic Kronecker lifts
+    and both full 4x4 products are (4, 4, n) stacks, and each squared norm
+    sums the squares of the commutator's float64 view. Angles are 1-d float
+    arrays of one length and are not validated.
+    """
+    lift_a = lift_first(matrices(mu, eta))
+    lift_b = lift_second(matrices(nu, zeta))
+    comm = _matmul_rows_last(lift_a, lift_b) - _matmul_rows_last(lift_b, lift_a)
+    parts = comm.reshape(16, -1).view(np.float64)  # re, im of each row side by side
+    squares = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
+    return np.sqrt(squares)
 
 
 def is_klein_symmetric(dist: JointDistribution, tol: float = 1e-12) -> bool:
@@ -210,15 +254,12 @@ def has_equal_marginals(dist: JointDistribution, tol: float = 1e-12) -> bool:
 # batch wrappers over the kernels (validated, clamped)
 # ---------------------------------------------------------------------------
 
+def _angle_arrays(pair: ObservablePair):
+    return np.array([pair.a.mu]), np.array([pair.a.eta]), np.array([pair.b.mu]), np.array([pair.b.eta])
+
+
 def _point_arrays(pair: ObservablePair, label: BellLabel):
-    return (
-        np.array([pair.a.mu]),
-        np.array([pair.a.eta]),
-        np.array([pair.b.mu]),
-        np.array([pair.b.eta]),
-        np.array([label.s], dtype=np.int64),
-        np.array([label.t], dtype=np.int64),
-    )
+    return (*_angle_arrays(pair), np.array([label.s], dtype=np.int64), np.array([label.t], dtype=np.int64))
 
 
 def _validated_angles(mu, eta, nu, zeta):
@@ -249,15 +290,19 @@ def _validated_bits(values, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _validated_rows(mu, eta, nu, zeta, s, t):
+    mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
+    n = mu.shape[0]
+    return mu, eta, nu, zeta, _validated_bits(s, n, "s"), _validated_bits(t, n, "t")
+
+
 def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.ndarray:
     """Correlation-form probabilities (1 +- a.S b)/4; shape (n, 4), clamped to [0, 1].
 
     With check=True the alternate half-angle closed form is evaluated as well
     and compared.
     """
-    mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
-    s = _validated_bits(s, mu.shape[0], "s")
-    t = _validated_bits(t, mu.shape[0], "t")
+    mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
     primary = _kernels.closed_joint(mu, eta, nu, zeta, s, t)
     if check:
         alternate = _kernels.closed_joint_alt(mu, eta, nu, zeta, s, t)
@@ -267,17 +312,13 @@ def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.nda
 
 def joint_closed_alt_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
     """Half-angle closed-form probabilities; shape (n, 4), clamped to [0, 1]."""
-    mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
-    s = _validated_bits(s, mu.shape[0], "s")
-    t = _validated_bits(t, mu.shape[0], "t")
+    mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
     return np.clip(_kernels.closed_joint_alt(mu, eta, nu, zeta, s, t), 0.0, 1.0)
 
 
 def joint_amplitude_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
     """Amplitude-formula probabilities; shape (n, 4), clamped to [0, 1]."""
-    mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
-    s = _validated_bits(s, mu.shape[0], "s")
-    t = _validated_bits(t, mu.shape[0], "t")
+    mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
     return np.clip(_kernels.amplitude_joint(mu, eta, nu, zeta, s, t), 0.0, 1.0)
 
 

@@ -4,6 +4,9 @@ Subcommands: probs (single-point report), sweep (CSV parameter sweep),
 verify (randomized cross-validation of the three probability routes),
 independence (closed-form angle conditions), sample (seeded sampling run).
 Exit codes: 0 success, 1 verification failure, 2 usage error.
+
+The algebra lives in the library: verify calls the batch routes and
+bipartite.commutator_norms block by block and keeps only the reductions.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bipartite, independence, information, sampler
-from .bipartite import BellLabel, InternalConsistencyError, JointDistribution, ObservablePair
+from .bipartite import BellLabel, InternalConsistencyError, ObservablePair
 from .observables import TWO_PI, Observable, Plane
 
 EXIT_OK = 0
@@ -33,10 +36,11 @@ SWEEP_BLOCK_ROWS = 4096
 #: verify tuples per block; every route, reduction and check runs one block at
 #: a time, so verify's memory beyond the drawn angles stays at one block
 VERIFY_BLOCK_ROWS = 4096
-#: tuples per commutator tile; its (4, 4, n) complex stacks take 128 KB each,
-#: so a 4096-tuple call peaks near 1 MB and glibc reuses that memory from block
-#: to block instead of returning it to the OS and faulting it back in
-COMMUTATOR_TILE_ROWS = 512
+#: tuples per commutator tile; its (4, 4, n) complex stacks take 64 KB each and
+#: a tile peaks near 400 KB. glibc then keeps that memory from tile to tile; at
+#: 512 tuples (about 800 KB a tile) it returned it to the OS after most tiles
+#: and faulted it back in, about 190 minor faults per tile
+COMMUTATOR_TILE_ROWS = 256
 
 _ANGLE_NAMES = ("mu", "eta", "nu", "zeta")
 _PLANE_FLAGS = {"x0": Plane.X_ZERO, "y0": Plane.Y_ZERO, "z0": Plane.Z_ZERO}
@@ -275,6 +279,8 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if seed < 0:  # numpy's own message would not name the seed
+        raise ValueError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0.0, math.pi, samples)
     eta = rng.uniform(0.0, TWO_PI, samples)
@@ -339,56 +345,16 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
     )
 
 
-_EYE2 = np.eye(2, dtype=np.complex128)
-
-
-def _observable_matrices(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """[[cos, e^-i*azimuth sin], [e^i*azimuth sin, -cos]] of each row; shape (2, 2, n)."""
-    mats = np.empty((2, 2, polar.shape[0]), dtype=np.complex128)
-    c, sn = np.cos(polar), np.sin(polar)
-    phase = np.exp(-1j * azimuth)
-    mats[0, 0] = c
-    mats[0, 1] = phase * sn
-    mats[1, 0] = np.conj(phase) * sn
-    mats[1, 1] = -c
-    return mats
-
-
-def _lift_first(a: np.ndarray) -> np.ndarray:
-    """a (x) I of each 2x2 in a (2, 2, n) stack; shape (4, 4, n)."""
-    return np.einsum("ijn,kl->ikjln", a, _EYE2).reshape(4, 4, -1)
-
-
-def _lift_second(b: np.ndarray) -> np.ndarray:
-    """I (x) b of each 2x2 in a (2, 2, n) stack; shape (4, 4, n)."""
-    return np.einsum("ij,kln->ikjln", _EYE2, b).reshape(4, 4, -1)
-
-
-def _matmul_rows_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for (4, 4, n) stacks of matrices: four broadcast multiply-adds over the inner index."""
-    out = x[:, 0, None] * y[0]
-    for k in range(1, 4):
-        out += x[:, k, None] * y[k]
-    return out
-
-
 def _max_commutator_norm(mu, eta, nu, zeta) -> float:
     """Largest Frobenius norm of [A (x) I, I (x) B], COMMUTATOR_TILE_ROWS tuples at a time.
 
-    Struct-of-arrays form, the row index last: the generic Kronecker lifts
-    and both full 4x4 products are (4, 4, n) stacks, and each squared norm
-    sums the squares of the commutator's float64 view.
+    Each tile is one bipartite.commutator_norms call.
     """
     tile_max = []
     for start in range(0, len(mu), COMMUTATOR_TILE_ROWS):
         tile = slice(start, start + COMMUTATOR_TILE_ROWS)
-        lift_a = _lift_first(_observable_matrices(mu[tile], eta[tile]))
-        lift_b = _lift_second(_observable_matrices(nu[tile], zeta[tile]))
-        comm = _matmul_rows_last(lift_a, lift_b) - _matmul_rows_last(lift_b, lift_a)
-        parts = comm.reshape(16, -1).view(np.float64)  # re, im of each row side by side
-        squares = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
-        tile_max.append(squares.max())
-    return float(np.sqrt(np.max(tile_max)))
+        tile_max.append(bipartite.commutator_norms(mu[tile], eta[tile], nu[tile], zeta[tile]).max())
+    return float(np.max(tile_max))
 
 
 def cmd_verify(args) -> int:

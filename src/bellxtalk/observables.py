@@ -7,6 +7,8 @@ The matrix attached to polar angle mu and azimuthal angle eta is
 
 which identifies the family with the unit sphere of traceless Hermitian 2x2
 operators through (x, y, z) = (sin(mu)cos(eta), sin(mu)sin(eta), cos(mu)).
+matrices() builds a (2, 2, n) stack of them from angle arrays; matrix() is its
+one-row call, so the matrix is written once.
 """
 
 from __future__ import annotations
@@ -107,11 +109,25 @@ class PlaneClass:
         return self.planes == (Plane.GENERIC,)
 
 
+def matrices(polar, azimuth) -> np.ndarray:
+    """[[cos, e^-i*azimuth sin], [e^i*azimuth sin, -cos]] of each row; shape (2, 2, n).
+
+    The row index is last, the struct-of-arrays layout of the batch oracles.
+    Inputs are 1-d float arrays of one length and are not validated.
+    """
+    mats = np.empty((2, 2, polar.shape[0]), dtype=np.complex128)
+    c, sn = np.cos(polar), np.sin(polar)
+    phase = np.exp(-1j * azimuth)
+    mats[0, 0] = c
+    mats[0, 1] = phase * sn
+    mats[1, 0] = np.conj(phase) * sn
+    mats[1, 1] = -c
+    return mats
+
+
 def matrix(obs: Observable) -> np.ndarray:
     """2x2 Hermitian matrix of the observable; trace 0, squares to identity."""
-    c, s = math.cos(obs.mu), math.sin(obs.mu)
-    phase = complex(math.cos(obs.eta), -math.sin(obs.eta))
-    return np.array([[c, phase * s], [phase.conjugate() * s, -c]], dtype=np.complex128)
+    return matrices(np.array([obs.mu]), np.array([obs.eta]))[:, :, 0]
 
 
 def eigenvalue(k: int) -> float:

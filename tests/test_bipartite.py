@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellxtalk import bipartite, qmath
+from bellxtalk import _kernels, bipartite, cli
 from bellxtalk.bipartite import (
     INDEX_ORDER,
     BellLabel,
@@ -15,6 +15,7 @@ from bellxtalk.bipartite import (
     bell_state,
     bell_state_batch,
     commutator_norm,
+    commutator_norms,
     has_equal_marginals,
     is_klein_symmetric,
     joint_amplitude_batch,
@@ -88,6 +89,23 @@ class TestLifts:
             assert np.abs(lifted @ lifted - np.eye(4)).max() <= 1e-15
             assert np.abs(lifted - lifted.conj().T).max() == 0.0
 
+    def test_stack_lifts_equal_kron_of_each_row(self):
+        rng = np.random.default_rng(29)
+        stack = rng.normal(size=(2, 2, 9)) + 1j * rng.normal(size=(2, 2, 9))
+        first, second = lift_first(stack), lift_second(stack)
+        assert first.shape == second.shape == (4, 4, 9)
+        for n in range(9):
+            assert np.array_equal(first[:, :, n], np.kron(stack[:, :, n], IDENTITY2))
+            assert np.array_equal(second[:, :, n], np.kron(IDENTITY2, stack[:, :, n]))
+
+    def test_rejects_wrong_shape_and_non_finite(self):
+        bad = [np.eye(3), np.zeros(4), np.zeros((2, 3, 5)), np.array([[np.nan, 0], [0, 1]]),
+               np.array([[1, np.inf], [0, 1]]), np.full((2, 2, 3), complex(0, np.inf))]
+        for lift in (lift_first, lift_second):
+            for m in bad:
+                with pytest.raises(ValueError):
+                    lift(m)
+
 
 class TestOutcomeFrame:
     def test_sigma3_pair_is_computational_basis(self):
@@ -147,8 +165,29 @@ class TestBruteForce:
         assert dist.p[0] == pytest.approx(0.5 * math.cos(PI / 24) ** 2, abs=1e-15)
 
     def test_rejects_unnormalized_state(self):
-        with pytest.raises(ValueError):
-            joint_distribution_bruteforce(pair_of(0, 0, 0, 0), np.array([1, 0, 0, 1], dtype=complex))
+        bad = [
+            np.array([1, 0, 0, 1], dtype=complex),
+            np.array([1, 0], dtype=complex),
+            bell_state(BellLabel(0, 0))[np.newaxis, :],
+            np.array([np.nan, 0, 0, 1], dtype=complex),
+            np.array([1, 0, np.inf, 0], dtype=complex),
+            np.array([1, complex(0, -np.inf), 0, 0]),
+        ]
+        for psi in bad:
+            with pytest.raises(ValueError):
+                joint_distribution_bruteforce(pair_of(0, 0, 0, 0), psi)
+
+    def test_one_kernel_call_per_pair(self, monkeypatch):
+        calls = []
+        kernel = _kernels.bruteforce_joint
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "bruteforce_joint", counted)
+        joint_distribution_bruteforce(pair_of(0.4, 1.3, 2.1, 5.0), bell_state(BellLabel(1, 0)))
+        assert calls == [(1,)]
 
 
 class TestAmplitudeMethod:
@@ -216,7 +255,7 @@ class TestThreeWayAgreement:
                 np.array([mu]), np.array([eta]), np.array([nu]), np.array([zeta]),
                 bell_state(label)[np.newaxis, :],
             )[0]
-            assert np.abs(np.array(brute_scalar.p) - brute_row).max() <= 1e-14
+            assert np.array_equal(np.array(brute_scalar.p), brute_row)
 
 
 class TestMarginals:
@@ -354,14 +393,57 @@ class TestCommutator:
 
     def test_unlifted_contrast(self):
         # [sigma1, sigma2] = 2i sigma3 on the single-qubit plane
-        comm = qmath.mat_mul(SIGMA1, SIGMA2) - qmath.mat_mul(SIGMA2, SIGMA1)
-        assert qmath.frobenius_norm(comm) == pytest.approx(2 * math.sqrt(2.0), abs=1e-15)
+        comm = SIGMA1 @ SIGMA2 - SIGMA2 @ SIGMA1
+        assert np.linalg.norm(comm) == pytest.approx(2 * math.sqrt(2.0), abs=1e-15)
 
     def test_randomized(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             pair = pair_of(rng.uniform(0, PI), rng.uniform(0, 2 * PI), rng.uniform(0, PI), rng.uniform(0, 2 * PI))
             assert commutator_norm(pair) <= 1e-13
+
+    def test_point_equals_verify_on_one_row(self):
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            mu, eta, nu, zeta = rng.uniform(0, PI), rng.uniform(0, 2 * PI), rng.uniform(0, PI), rng.uniform(0, 2 * PI)
+            rows = np.array([mu]), np.array([eta]), np.array([nu]), np.array([zeta])
+            assert commutator_norm(pair_of(mu, eta, nu, zeta)) == cli._max_commutator_norm(*rows)
+
+    @staticmethod
+    def _reference_norms(mu, eta, nu, zeta, second_on_first=False):
+        """Scalar np.kron lifts, 4x4 products and Frobenius norm, one row at a time."""
+        def hand_matrix(polar, azimuth):
+            phase = complex(math.cos(azimuth), -math.sin(azimuth))
+            c, s = math.cos(polar), math.sin(polar)
+            return np.array([[c, phase * s], [phase.conjugate() * s, -c]])
+
+        norms = []
+        for row in zip(mu.tolist(), eta.tolist(), nu.tolist(), zeta.tolist()):
+            big_a = np.kron(hand_matrix(*row[:2]), IDENTITY2)
+            b = hand_matrix(*row[2:])
+            big_b = np.kron(b, IDENTITY2) if second_on_first else np.kron(IDENTITY2, b)
+            norms.append(np.linalg.norm(big_a @ big_b - big_b @ big_a))
+        return np.array(norms)
+
+    def _check_against_reference(self, angles, monkeypatch):
+        assert np.abs(commutator_norms(*angles) - self._reference_norms(*angles)).max() <= 1e-15
+        # B lifted onto the first factor gives [A, B] (x) I: a nonzero norm to compare
+        monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)
+        wrong = commutator_norms(*angles)
+        reference = self._reference_norms(*angles, second_on_first=True)
+        assert reference.max() > 1.0
+        assert np.abs(wrong - reference).max() <= 1e-14
+
+    def test_batch_matches_scalar_reference_on_random_rows(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        n = 500
+        angles = (rng.uniform(0, PI, n), rng.uniform(0, 2 * PI, n), rng.uniform(0, PI, n), rng.uniform(0, 2 * PI, n))
+        self._check_against_reference(angles, monkeypatch)
+
+    def test_batch_matches_scalar_reference_on_edge_grid(self, monkeypatch):
+        mu, eta, nu, zeta, s, t = _edge_grid(EDGE_POLAR, EDGE_AZIMUTH)
+        one_label = (s == 0) & (t == 0)  # the commutator does not depend on the label
+        self._check_against_reference((mu[one_label], eta[one_label], nu[one_label], zeta[one_label]), monkeypatch)
 
 
 class TestInternalConsistency:

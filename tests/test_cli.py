@@ -212,6 +212,12 @@ class TestVerify:
     def test_sample_count_validation(self, capsys):
         assert run_cli(capsys, "verify", "--samples", "0")[0] == 2
 
+    def test_negative_seed_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--samples", "10", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer\n"
+
     @pytest.mark.parametrize("samples", [6, 7, 8, 1000])
     def test_block_boundaries_do_not_change_the_result(self, samples, monkeypatch):
         monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", samples)
@@ -234,7 +240,7 @@ class TestVerify:
 
     def test_planted_wrong_lift_fails_the_commutator_check(self, capsys, monkeypatch):
         # B lifted onto the first factor: [A (x) I, B (x) I] = [A, B] (x) I is not zero
-        monkeypatch.setattr(cli, "_lift_second", cli._lift_first)
+        monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)
         code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "2")
         assert code == 1
         line = next(l for l in out.splitlines() if "lifted commutator norm" in l)
