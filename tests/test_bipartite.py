@@ -167,14 +167,24 @@ class TestBruteForce:
     def test_rejects_unnormalized_state(self):
         bad = [
             np.array([1, 0, 0, 1], dtype=complex),
-            np.array([1, 0], dtype=complex),
-            bell_state(BellLabel(0, 0))[np.newaxis, :],
             np.array([np.nan, 0, 0, 1], dtype=complex),
             np.array([1, 0, np.inf, 0], dtype=complex),
             np.array([1, complex(0, -np.inf), 0, 0]),
         ]
         for psi in bad:
             with pytest.raises(ValueError):
+                joint_distribution_bruteforce(pair_of(0, 0, 0, 0), psi)
+
+    def test_rejects_wrong_shapes(self):
+        bad = [
+            np.array([1, 0], dtype=complex),
+            np.array([1, 0, 0], dtype=complex),
+            np.zeros(8, dtype=complex),
+            bell_state(BellLabel(0, 0))[np.newaxis, :],
+            np.eye(4, dtype=complex),
+        ]
+        for psi in bad:
+            with pytest.raises(ValueError, match="length 4"):
                 joint_distribution_bruteforce(pair_of(0, 0, 0, 0), psi)
 
     def test_one_kernel_call_per_pair(self, monkeypatch):
