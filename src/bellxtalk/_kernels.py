@@ -58,10 +58,13 @@ def closed_joint_alt_numpy(mu, eta, nu, zeta, s, t):
     half_dif = 0.5 * (mu - sign_s * nu)
     half_azim = 0.5 * (eta + sign_t * zeta)
     t_is_0 = t == 0
-    tr_t_dif = np.where(t_is_0, np.cos(half_dif), np.sin(half_dif))
-    tr_t1_dif = np.where(t_is_0, np.sin(half_dif), np.cos(half_dif))
+    cos_dif, sin_dif = np.cos(half_dif), np.sin(half_dif)
+    tr_t_dif = np.where(t_is_0, cos_dif, sin_dif)
+    tr_t1_dif = np.where(t_is_0, sin_dif, cos_dif)
     tr_t1_azim = np.where(t_is_0, np.sin(half_azim), np.cos(half_azim))
-    cross = np.cos(0.5 * mu) * np.cos(0.5 * nu) * np.sin(0.5 * mu) * np.sin(0.5 * nu)
+    half_mu, half_nu = 0.5 * mu, 0.5 * nu
+    cross = np.cos(half_mu) * np.cos(half_nu) * np.sin(half_mu) * np.sin(half_nu)
+    del cos_dif, sin_dif, half_mu, half_nu  # kept to the end, they raised the peak of a call by 4 row arrays
     term = (2.0 * sign_s * sign_t) * (tr_t1_azim * tr_t1_azim) * cross
     diag = 0.5 * (tr_t_dif * tr_t_dif) - term
     off = 0.5 * (tr_t1_dif * tr_t1_dif) + term

@@ -33,8 +33,8 @@ CSV_HEADER = "mu,eta,nu,zeta,s,t,p00,p01,p10,p11,entropy,mutual_info,degree,inde
 #: sweep rows formatted and written per block; the formatted text in memory
 #: stays at one block whatever the grid size
 SWEEP_BLOCK_ROWS = 4096
-#: verify tuples per block; every route, reduction and check runs one block at
-#: a time, so verify's memory beyond the drawn angles stays at one block
+#: verify tuples per block; the draws and every route, reduction and check run
+#: one block at a time, so verify's memory stays at one block whatever --samples
 VERIFY_BLOCK_ROWS = 4096
 #: tuples per commutator tile; its (4, 4, n) complex stacks take 64 KB each and
 #: a tile peaks near 400 KB. glibc then keeps that memory from tile to tile; at
@@ -76,6 +76,8 @@ def _parse_vary(text: str) -> VarySpec:
         steps = int(parts[2])
     except ValueError as exc:
         raise ValueError(f"--vary range {spec!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):  # before linspace meets them
+        raise ValueError(f"--vary range {spec!r} must be finite")
     if steps < 1:
         raise ValueError("--vary steps must be at least 1")
     return VarySpec(name=name, start=start, stop=stop, steps=steps)
@@ -270,42 +272,34 @@ class VerificationResult:
 def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
     """Cross-validate the three probability routes on random angle tuples.
 
-    Draws (mu, eta, nu, zeta, s, t) uniformly, all six columns at once, so a
-    seed gives the same tuples whatever the block size. Every route (closed,
-    alternate closed, amplitude, brute force), reduction and check then runs
-    VERIFY_BLOCK_ROWS tuples at a time, so memory beyond the drawn columns
-    stays at one block. Per-block maxima are kept, and the worst tuple is the
-    first row, over all blocks, with the largest three-method gap.
+    Draws (mu, eta, nu, zeta, s, t) uniformly, VERIFY_BLOCK_ROWS tuples at a
+    time from _verify_draws, which gives a seed the same tuples whatever the
+    block size. Every route (closed, alternate closed, amplitude, brute
+    force), reduction and check runs on one block, and its maxima fold into
+    running maxima, so memory stays at one block whatever the sample count.
+    The worst tuple is the first row, over all blocks, with the largest
+    three-method gap.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if seed < 0:  # numpy's own message would not name the seed
         raise ValueError("seed must be a non-negative integer")
-    rng = np.random.default_rng(seed)
-    mu = rng.uniform(0.0, math.pi, samples)
-    eta = rng.uniform(0.0, TWO_PI, samples)
-    nu = rng.uniform(0.0, math.pi, samples)
-    zeta = rng.uniform(0.0, TWO_PI, samples)
-    s = rng.integers(0, 2, samples)
-    t = rng.integers(0, 2, samples)
 
-    block_maxima, block_worst_rows = [], []
-    for start in range(0, samples, VERIFY_BLOCK_ROWS):
-        block = slice(start, start + VERIFY_BLOCK_ROWS)
-        angles = mu[block], eta[block], nu[block], zeta[block]
-        bits = s[block], t[block]
-        closed = bipartite.joint_closed_batch(*angles, *bits, check=False)
-        alternate = bipartite.joint_closed_alt_batch(*angles, *bits)
-        amplitude = bipartite.joint_amplitude_batch(*angles, *bits)
-        brute = bipartite.joint_bruteforce_batch(*angles, bipartite.bell_state_batch(*bits))
+    maxima = np.full(6, -np.inf)
+    worst_tuple = None
+    for mu, eta, nu, zeta, s, t in _verify_draws(samples, seed):
+        angles = mu, eta, nu, zeta
+        closed = bipartite.joint_closed_batch(*angles, s, t, check=False)
+        alternate = bipartite.joint_closed_alt_batch(*angles, s, t)
+        amplitude = bipartite.joint_amplitude_batch(*angles, s, t)
+        brute = bipartite.joint_bruteforce_batch(*angles, bipartite.bell_state_batch(s, t))
 
         method_gap = np.maximum(
             np.abs(closed - amplitude),
             np.maximum(np.abs(closed - brute), np.abs(amplitude - brute)),
         ).max(axis=1)
         worst = int(method_gap.argmax())
-        block_worst_rows.append(start + worst)
-        block_maxima.append((
+        block_maxima = np.array([
             method_gap[worst],
             max(np.abs(m.sum(axis=1) - 1.0).max() for m in (closed, amplitude, brute)),
             max(
@@ -322,12 +316,16 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
             ),
             np.abs(closed - alternate).max(),
             _max_commutator_norm(*angles),
-        ))
+        ])
+        # strictly larger only, so the first worst block's first worst row is kept
+        if block_maxima[0] > maxima[0]:
+            worst_tuple = (
+                float(mu[worst]), float(eta[worst]), float(nu[worst]), float(zeta[worst]),
+                int(s[worst]), int(t[worst]),
+            )
+        np.maximum(maxima, block_maxima, out=maxima)
 
-    maxima = np.array(block_maxima)
-    # argmax takes the first of equal maxima, so the first worst block's first worst row
-    worst_row = block_worst_rows[int(maxima[:, 0].argmax())]
-    gap, sum_error, klein, marginal, variant, commutator = maxima.max(axis=0).tolist()
+    gap, sum_error, klein, marginal, variant, commutator = maxima.tolist()
     return VerificationResult(
         samples=samples,
         seed=seed,
@@ -337,12 +335,42 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
         max_marginal_gap=marginal,
         max_variant_gap=variant,
         max_commutator=commutator,
-        worst_tuple=(
-            float(mu[worst_row]), float(eta[worst_row]),
-            float(nu[worst_row]), float(zeta[worst_row]),
-            int(s[worst_row]), int(t[worst_row]),
-        ),
+        worst_tuple=worst_tuple,
     )
+
+
+def _verify_draws(samples: int, seed: int):
+    """Yield verify's (mu, eta, nu, zeta, s, t) columns VERIFY_BLOCK_ROWS rows at a time.
+
+    The rows are those of default_rng(seed) drawing the six whole columns in
+    turn: four uniform angle columns, then the s and t bits. Each column has
+    its own PCG64 stream, advanced once to where the column starts in that
+    sequence. A uniform value takes one 64-bit word, so angle column k starts
+    at word k*n. An integers(0, 2) value takes one 32-bit half of a word, so
+    label column k starts at half q = k*n past word 4n: the stream advances
+    4n + q // 2 words and, when q is odd, throws the low half away.
+    """
+    def positioned(words: int, skip_half: bool = False) -> np.random.Generator:
+        bits = np.random.PCG64(seed)
+        bits.advance(words)
+        stream = np.random.Generator(bits)
+        if skip_half:
+            stream.integers(0, 2, 1)
+        return stream
+
+    angle_streams = [
+        (positioned(k * samples), high)
+        for k, high in enumerate((math.pi, TWO_PI, math.pi, TWO_PI))
+    ]
+    label_streams = [
+        positioned(4 * samples + q // 2, q % 2 == 1) for q in (0, samples)
+    ]
+    for start in range(0, samples, VERIFY_BLOCK_ROWS):
+        rows = min(VERIFY_BLOCK_ROWS, samples - start)
+        yield (
+            *(stream.uniform(0.0, high, rows) for stream, high in angle_streams),
+            *(stream.integers(0, 2, rows) for stream in label_streams),
+        )
 
 
 def _max_commutator_norm(mu, eta, nu, zeta) -> float:
@@ -524,7 +552,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:  # a grid or sample count too large for this machine
+    except MemoryError as exc:  # a sweep grid too large for this machine
         print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
 

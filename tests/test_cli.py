@@ -182,6 +182,15 @@ class TestSweep:
         assert run_cli(capsys, "sweep", "--vary", "sigma=0:1:2")[0] == 2
         assert run_cli(capsys, "sweep", "--vary", "nu=0:1:0")[0] == 2
 
+    @pytest.mark.parametrize("spec", [
+        "mu=0:inf:3", "mu=0:-inf:3", "mu=0:nan:3", "mu=inf:1:3", "mu=-inf:1:3", "mu=nan:1:3",
+    ])
+    def test_non_finite_vary_range_rejected(self, capsys, spec):
+        code, out, err = run_cli(capsys, "sweep", "--vary", spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --vary range {spec.partition('=')[2]!r} must be finite\n"
+
 
 class TestVerify:
     def test_passes_at_default_tolerance(self, capsys):
@@ -225,7 +234,20 @@ class TestVerify:
         monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", 7)
         assert run_verification(samples=samples, seed=12) == whole
 
-    def test_memory_grows_only_by_the_drawn_angles(self):
+    @pytest.mark.parametrize("seed", [0, 12, 2**63 + 5])
+    @pytest.mark.parametrize("block", [7, cli.VERIFY_BLOCK_ROWS])
+    @pytest.mark.parametrize("samples", [1, 2, 7, 4095, 4096, 4097, 100003])
+    def test_block_draws_equal_whole_column_draws(self, samples, block, seed, monkeypatch):
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", block)
+        drawn = [np.concatenate(column) for column in zip(*cli._verify_draws(samples, seed))]
+        rng = np.random.default_rng(seed)
+        whole = [rng.uniform(0.0, high, samples) for high in (PI, 2 * PI, PI, 2 * PI)]
+        whole += [rng.integers(0, 2, samples) for _ in range(2)]
+        for got, want in zip(drawn, whole, strict=True):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_memory_does_not_grow_with_samples(self):
         def peak(samples):
             tracemalloc.start()
             try:
@@ -236,7 +258,7 @@ class TestVerify:
 
         run_verification(samples=10, seed=3)  # one-time allocations stay out of both peaks
         n = 16384
-        assert (peak(4 * n) - peak(n)) / (3 * n) < 100
+        assert (peak(4 * n) - peak(n)) / (3 * n) < 1
 
     def test_planted_wrong_lift_fails_the_commutator_check(self, capsys, monkeypatch):
         # B lifted onto the first factor: [A (x) I, B (x) I] = [A, B] (x) I is not zero
