@@ -44,7 +44,19 @@ CLOSED_VARIANT_TOL = 1e-10  # max disagreement allowed between the two closed fo
 
 
 class InternalConsistencyError(RuntimeError):
-    """The two closed-form variants disagreed beyond tolerance."""
+    """The two closed-form variants disagreed beyond tolerance.
+
+    gap is the largest disagreement and row the first row where it occurs,
+    counted from the start of the arrays the check was given.
+    """
+
+    def __init__(self, gap: float, row: int) -> None:
+        super().__init__(f"closed-form variants disagree by {gap:.3e} at row {row}")
+        self.gap = gap
+        self.row = row
+
+    def __reduce__(self):  # pickle and copy would otherwise call __init__ with the message
+        return type(self), (self.gap, self.row)
 
 
 @dataclass(frozen=True)
@@ -262,19 +274,26 @@ def _point_arrays(pair: ObservablePair, label: BellLabel):
     return (*_angle_arrays(pair), np.array([label.s], dtype=np.int64), np.array([label.t], dtype=np.int64))
 
 
+#: upper end of each angle's domain [0, hi]; eta/zeta accept the closed end
+#: 2*pi, which is equivalent to 0
+_ANGLE_BOUNDS = {"mu": math.pi, "eta": TWO_PI, "nu": math.pi, "zeta": TWO_PI}
+
+
+def validated_angle(name: str, values) -> np.ndarray:
+    """values as a contiguous 1-d float64 array, checked to be finite and in name's domain."""
+    hi = _ANGLE_BOUNDS[name]
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
+    if arr.size and (arr.min() < 0.0 or arr.max() > hi):
+        raise ValueError(f"{name} must lie in [0, {hi}]")
+    return arr
+
+
 def _validated_angles(mu, eta, nu, zeta):
-    # eta/zeta accept the closed upper end 2*pi, which is equivalent to 0
-    bounds = (("mu", mu, math.pi), ("eta", eta, TWO_PI), ("nu", nu, math.pi), ("zeta", zeta, TWO_PI))
-    arrays = []
-    for name, values, hi in bounds:
-        arr = np.ascontiguousarray(values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} contains non-finite values")
-        if arr.size and (arr.min() < 0.0 or arr.max() > hi):
-            raise ValueError(f"{name} must lie in [0, {hi}]")
-        arrays.append(arr)
+    arrays = [validated_angle(name, values) for name, values in zip(_ANGLE_BOUNDS, (mu, eta, nu, zeta))]
     n = arrays[0].shape[0]
     if any(a.shape[0] != n for a in arrays):
         raise ValueError("angle arrays must share one length")
@@ -335,7 +354,4 @@ def _require_variant_agreement(primary: np.ndarray, alternate: np.ndarray) -> No
     gap = np.abs(primary - alternate)
     worst = float(gap.max()) if gap.size else 0.0
     if worst > CLOSED_VARIANT_TOL:
-        index = int(np.unravel_index(np.argmax(gap), gap.shape)[0])
-        raise InternalConsistencyError(
-            f"closed-form variants disagree by {worst:.3e} at row {index}"
-        )
+        raise InternalConsistencyError(worst, int(np.unravel_index(np.argmax(gap), gap.shape)[0]))

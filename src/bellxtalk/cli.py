@@ -5,8 +5,9 @@ verify (randomized cross-validation of the three probability routes),
 independence (closed-form angle conditions), sample (seeded sampling run).
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
-The algebra lives in the library: verify calls the batch routes and
-bipartite.commutator_norms block by block and keeps only the reductions.
+The algebra lives in the library: sweep and verify call the batch routes
+(verify also bipartite.commutator_norms) one block of rows at a time, so
+neither holds more than one block.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 CSV_HEADER = "mu,eta,nu,zeta,s,t,p00,p01,p10,p11,entropy,mutual_info,degree,independent"
-#: sweep rows formatted and written per block; the formatted text in memory
-#: stays at one block whatever the grid size
+#: sweep rows per block; the grid columns, the kernel with its variant check,
+#: the information columns, the formatting and the write run one block at a
+#: time, so sweep's memory stays at one block whatever the grid size
 SWEEP_BLOCK_ROWS = 4096
 #: verify tuples per block; the draws and every route, reduction and check run
 #: one block at a time, so verify's memory stays at one block whatever --samples
@@ -142,7 +144,14 @@ def cmd_probs(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_grid(args) -> tuple[dict[str, np.ndarray], int]:
+def _sweep_axes(args) -> tuple[dict[str, np.ndarray], int]:
+    """Each angle's axis in radians, validated, and the number of grid rows.
+
+    A varied angle's axis is its linspace and a fixed angle's axis holds its
+    one value. The varied axes come first, in the order given: the first
+    listed varies slowest. Every axis is checked here, so a bad angle
+    anywhere in the grid is reported before any row is written.
+    """
     varies = [_parse_vary(text) for text in (args.vary or [])]
     if len(varies) > 2:
         raise ValueError("at most two parameters can vary")
@@ -150,37 +159,67 @@ def _sweep_grid(args) -> tuple[dict[str, np.ndarray], int]:
     if len(set(names)) != len(names):
         raise ValueError("each --vary parameter may appear only once")
 
-    fixed = {name: _to_radians(getattr(args, name), args.deg) for name in _ANGLE_NAMES}
-    axes = [np.radians(vary.values()) if args.deg else vary.values() for vary in varies]
-    total = math.prod(len(axis) for axis in axes)
-    # the first listed parameter varies slowest
-    grid = dict(zip(names, (mesh.ravel() for mesh in np.meshgrid(*axes, indexing="ij"))))
-    columns = {
-        name: grid[name] if name in grid else np.full(total, fixed[name])
-        for name in _ANGLE_NAMES
-    }
-    return columns, total
+    axes = {vary.name: np.radians(vary.values()) if args.deg else vary.values() for vary in varies}
+    for name in _ANGLE_NAMES:  # in the kernel's order, so of two bad angles it names the first
+        axes.setdefault(name, np.array([_to_radians(getattr(args, name), args.deg)]))
+        bipartite.validated_angle(name, axes[name])
+    return axes, math.prod(len(axis) for axis in axes.values())
+
+
+def _sweep_grid(axes: dict[str, np.ndarray], start: int, stop: int) -> dict[str, np.ndarray]:
+    """The angle columns of grid rows start to stop - 1.
+
+    Row r takes element (r // stride) % len(axis) of each axis, where stride
+    is the product of the lengths of the axes after it. For two varied axes
+    that is axis0[r // n1] and axis1[r % n1], row r of
+    np.meshgrid(axis0, axis1, indexing="ij") raveled.
+    """
+    rows = np.arange(start, stop)
+    columns = {}
+    stride = 1
+    for name, axis in reversed(axes.items()):
+        columns[name] = axis[rows // stride % len(axis)]
+        stride *= len(axis)
+    return columns
 
 
 def cmd_sweep(args) -> int:
+    """Write the sweep CSV, running the whole pipeline SWEEP_BLOCK_ROWS rows at a time.
+
+    The axes and fixed angles are validated before the header is written, so
+    a bad angle anywhere in the grid exits 2 with nothing written. Each block
+    builds its angle columns, runs the closed kernel with its every-call
+    variant check and the information columns, and is formatted and written.
+    Only the axes live for the whole run, so memory stays at one block
+    whatever the grid size. A consistency failure names its row counted from
+    the start of the grid. On stdout the header and the earlier blocks have
+    been written by then; --out is left as it was.
+    """
     if not args.tol > 0.0:  # also rejects NaN
         raise ValueError("tolerance must be positive")
     label = BellLabel(args.s, args.t)
-    columns, total = _sweep_grid(args)
-    s = np.full(total, label.s, dtype=np.int64)
-    t = np.full(total, label.t, dtype=np.int64)
-    probs = bipartite.joint_closed_batch(
-        columns["mu"], columns["eta"], columns["nu"], columns["zeta"], s, t
-    )
-    entropy = information.shannon_entropy_rows(probs)
-    mutual = information.mutual_information_rows(probs)
-    degree = information.degree_rows(probs)
-    independent = (np.abs(probs[:, 0] - 0.25) <= args.tol).astype(int)
+    axes, total = _sweep_axes(args)
 
     out = contextlib.nullcontext(sys.stdout) if args.out == "-" else _replacing(args.out)
     try:
         with out as handle:
-            _write_sweep_rows(handle, label, columns, probs, entropy, mutual, degree, independent)
+            handle.write(CSV_HEADER + "\n")
+            for start in range(0, total, SWEEP_BLOCK_ROWS):
+                stop = min(start + SWEEP_BLOCK_ROWS, total)
+                columns = _sweep_grid(axes, start, stop)
+                s = np.full(stop - start, label.s, dtype=np.int64)
+                t = np.full(stop - start, label.t, dtype=np.int64)
+                try:
+                    probs = bipartite.joint_closed_batch(
+                        columns["mu"], columns["eta"], columns["nu"], columns["zeta"], s, t
+                    )
+                except InternalConsistencyError as exc:  # name the grid row, not the block's
+                    raise InternalConsistencyError(exc.gap, start + exc.row) from None
+                entropy = information.shannon_entropy_rows(probs)
+                mutual = information.mutual_information_rows(probs)
+                degree = information.degree_rows(probs)
+                independent = (np.abs(probs[:, 0] - 0.25) <= args.tol).astype(int)
+                _write_sweep_rows(handle, label, columns, probs, entropy, mutual, degree, independent)
     except OSError as exc:  # name the path given, not _replacing's temp file
         raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     return EXIT_OK
@@ -197,18 +236,20 @@ class _AngleText(dict):
 
 
 def _write_sweep_rows(handle, label, columns, probs, entropy, mutual, degree, independent) -> None:
-    """Write the CSV header and rows to handle, formatting SWEEP_BLOCK_ROWS rows at a time.
+    """Write the CSV rows to handle, formatting SWEEP_BLOCK_ROWS rows at a time.
 
     ``"%.17g" % x`` is the text of ``_fmt(x)`` for every float; the label bits
-    are the same on every row, so they are part of the row format.
+    are the same on every row, so they are part of the row format. The rows
+    are Bell-shaped as joint_closed_batch gives them, p11 == p00 and
+    p10 == p01 bit for bit, so p11 and p10 reuse the text of p00 and p01.
     """
-    row = f"%s,%s,%s,%s,{label.s},{label.t}," + ",".join(["%.17g"] * 7) + ",%d\n"
-    handle.write(CSV_HEADER + "\n")
+    row = f"%s,%s,%s,%s,{label.s},{label.t},%s,%s,%s,%s," + ",".join(["%.17g"] * 3) + ",%d\n"
     for start in range(0, probs.shape[0], SWEEP_BLOCK_ROWS):
         block = slice(start, start + SWEEP_BLOCK_ROWS)
         angle_text = _AngleText()  # one per block, so distinct angles cannot pile up
         angles = [map(angle_text.__getitem__, columns[name][block].tolist()) for name in _ANGLE_NAMES]
-        fields = zip(*angles, *probs[block].T.tolist(), entropy[block].tolist(),
+        p00, p01 = ([*map("%.17g".__mod__, probs[block, k].tolist())] for k in (0, 1))
+        fields = zip(*angles, p00, p01, p01, p00, entropy[block].tolist(),
                      mutual[block].tolist(), degree[block].tolist(), independent[block].tolist())
         handle.write("".join(map(row.__mod__, fields)))
 
@@ -552,7 +593,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:  # a sweep grid too large for this machine
+    except MemoryError as exc:  # a --vary step count whose axis does not fit in memory
         print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -463,6 +464,18 @@ class TestInternalConsistency:
         bad[1, 2] += 5e-9
         with pytest.raises(InternalConsistencyError):
             bipartite._require_variant_agreement(good, bad)
+
+    def test_disagreement_names_its_gap_and_row_and_pickles(self):
+        good = np.full((3, 4), 0.25)
+        bad = good.copy()
+        bad[2, 1] += 5e-9
+        with pytest.raises(InternalConsistencyError) as caught:
+            bipartite._require_variant_agreement(good, bad)
+        assert caught.value.row == 2
+        assert caught.value.gap == pytest.approx(5e-9)
+        assert str(caught.value).endswith(" at row 2")
+        copy = pickle.loads(pickle.dumps(caught.value))
+        assert (copy.gap, copy.row, str(copy)) == (caught.value.gap, 2, str(caught.value))
 
     def test_agreement_within_tolerance_passes(self):
         good = np.full((2, 4), 0.25)

@@ -500,6 +500,65 @@ class TestSweepWriter:
 
         assert peak(8 * BLOCK) < 2 * peak(2 * BLOCK)
 
+    def test_sweep_memory_does_not_grow_with_rows(self, tmp_path):
+        out = str(tmp_path / "sweep.csv")
+
+        def peak(n_mu, n_zeta):
+            argv = ["sweep", "--eta", "1.3", "--nu", "2.0", "--vary", f"mu=0:{PI_STR}:{n_mu}",
+                    "--vary", f"zeta=0:{TWO_PI_STR}:{n_zeta}", "--out", out]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 4 * BLOCK and 32 * BLOCK rows: under 1 B per added row
+        assert peak(512, 256) - peak(128, 128) < 512 * 256 - 128 * 128
+
+    # nu first passes pi in block 3, zeta first passes 2*pi in block 1
+    @pytest.mark.parametrize("spec, name, hi, block", [
+        ("nu=0:4:20000", "nu", PI, 3), ("zeta=0:7:9000", "zeta", 2 * PI, 1),
+    ])
+    def test_bad_angle_in_a_late_block_writes_nothing(self, tmp_path, capsys, spec, name, hi, block):
+        start, stop, steps = spec.partition("=")[2].split(":")
+        axis = np.linspace(float(start), float(stop), int(steps))
+        assert int(np.argmax(axis > hi)) // BLOCK == block
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"previous contents\n")
+        for target in ("-", str(out)):
+            code, stdout, err = run_cli(capsys, "sweep", "--vary", spec, "--out", target)
+            assert code == 2
+            assert stdout == ""
+            assert err == f"error: {name} must lie in [0, {hi}]\n"
+        assert out.read_bytes() == b"previous contents\n"
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+
+    def test_consistency_failure_in_a_late_block_names_the_grid_row(self, tmp_path, capsys, monkeypatch):
+        rows = 2 * BLOCK + 5
+        bad_nu = np.linspace(0.0, 1.0, rows)[BLOCK + 3]
+        alternate = bipartite._kernels.closed_joint_alt
+
+        def shifted(mu, eta, nu, zeta, s, t):
+            cells = alternate(mu, eta, nu, zeta, s, t)
+            cells[nu == bad_nu, 1] += 1e-9
+            return cells
+
+        monkeypatch.setattr(bipartite._kernels, "closed_joint_alt", shifted)
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"previous contents\n")
+        code, stdout, err = run_cli(capsys, "sweep", "--vary", f"nu=0:1:{rows}", "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("internal consistency failure: closed-form variants disagree by ")
+        assert err.endswith(f" at row {BLOCK + 3}\n")
+        assert out.read_bytes() == b"previous contents\n"
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+        # on stdout the header and block 0 are written before block 1 fails
+        code, stdout, _ = run_cli(capsys, "sweep", "--vary", f"nu=0:1:{rows}")
+        assert code == 1
+        assert stdout.count("\n") == 1 + BLOCK
+
 
 @pytest.mark.parametrize("tol", ["nan", "-nan"])
 @pytest.mark.parametrize("command", ["probs", "sweep", "verify", "sample"])
