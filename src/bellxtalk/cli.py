@@ -53,20 +53,8 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-@dataclass(frozen=True)
-class VarySpec:
-    """Inclusive linear range for one swept angle."""
-
-    name: str
-    start: float
-    stop: float
-    steps: int
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
-
-
-def _parse_vary(text: str) -> VarySpec:
+def _parse_vary(text: str) -> tuple[str, np.ndarray]:
+    """The angle name and inclusive linspace axis of one --vary spec."""
     name, sep, spec = text.partition("=")
     if not sep or name not in _ANGLE_NAMES:
         raise ValueError(f"--vary expects one of {_ANGLE_NAMES} as 'name=start:stop:steps', got {text!r}")
@@ -80,9 +68,11 @@ def _parse_vary(text: str) -> VarySpec:
         raise ValueError(f"--vary range {spec!r}: {exc}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):  # before linspace meets them
         raise ValueError(f"--vary range {spec!r} must be finite")
+    if not math.isfinite(stop - start):  # linspace would overflow and warn
+        raise ValueError(f"--vary range {spec!r} is wider than the largest float")
     if steps < 1:
         raise ValueError("--vary steps must be at least 1")
-    return VarySpec(name=name, start=start, stop=stop, steps=steps)
+    return name, np.linspace(start, stop, steps)
 
 
 def _to_radians(value: float, use_degrees: bool) -> float:
@@ -95,6 +85,15 @@ def _parse_point(args) -> tuple[ObservablePair, BellLabel]:
         b=Observable(_to_radians(args.nu, args.deg), _to_radians(args.zeta, args.deg)),
     )
     return pair, BellLabel(args.s, args.t)
+
+
+def _print_report(report, prefix: str = "") -> None:
+    """The theta, information and independence lines of probs and sample."""
+    print(f"{prefix}theta       = {_fmt(report.theta)}")
+    print(f"{prefix}entropy     = {_fmt(report.entropy)} nats")
+    print(f"{prefix}mutual_info = {_fmt(report.mutual_info)} nats")
+    print(f"{prefix}degree      = {_fmt(report.degree)}")
+    print(f"independent = {'yes' if report.independent else 'no'} (tol {_fmt(report.tolerance)})")
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +123,7 @@ def cmd_probs(args) -> int:
     (pa0, pa1), (pb0, pb1) = bipartite.marginals(dist)
     print(f"marginals A:  {_fmt(pa0)} {_fmt(pa1)}")
     print(f"marginals B:  {_fmt(pb0)} {_fmt(pb1)}")
-    print(f"theta       = {_fmt(report.theta)}")
-    print(f"entropy     = {_fmt(report.entropy)} nats")
-    print(f"mutual_info = {_fmt(report.mutual_info)} nats")
-    print(f"degree      = {_fmt(report.degree)}")
-    print(f"independent = {'yes' if report.independent else 'no'} (tol {_fmt(report.tolerance)})")
+    _print_report(report)
     if len(dists) > 1:
         arrays = [d.as_array() for d in dists.values()]
         gap = max(
@@ -152,35 +147,41 @@ def _sweep_axes(args) -> tuple[dict[str, np.ndarray], int]:
     listed varies slowest. Every axis is checked here, so a bad angle
     anywhere in the grid is reported before any row is written.
     """
-    varies = [_parse_vary(text) for text in (args.vary or [])]
-    if len(varies) > 2:
+    texts = args.vary or []
+    if len(texts) > 2:
         raise ValueError("at most two parameters can vary")
-    names = [v.name for v in varies]
+    names = [text.partition("=")[0] for text in texts]  # before any axis is built
     if len(set(names)) != len(names):
         raise ValueError("each --vary parameter may appear only once")
-
-    axes = {vary.name: np.radians(vary.values()) if args.deg else vary.values() for vary in varies}
+    axes = {name: np.radians(axis) if args.deg else axis for name, axis in map(_parse_vary, texts)}
     for name in _ANGLE_NAMES:  # in the kernel's order, so of two bad angles it names the first
         axes.setdefault(name, np.array([_to_radians(getattr(args, name), args.deg)]))
         bipartite.validated_angle(name, axes[name])
     return axes, math.prod(len(axis) for axis in axes.values())
 
 
-def _sweep_grid(axes: dict[str, np.ndarray], start: int, stop: int) -> dict[str, np.ndarray]:
-    """The angle columns of grid rows start to stop - 1.
+def _sweep_grid(
+    axes: dict[str, np.ndarray], start: int, stop: int
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each axis's values in grid rows start to stop - 1, and each row's index into them.
 
     Row r takes element (r // stride) % len(axis) of each axis, where stride
     is the product of the lengths of the axes after it. For two varied axes
     that is axis0[r // n1] and axis1[r % n1], row r of
-    np.meshgrid(axis0, axis1, indexing="ij") raveled.
+    np.meshgrid(axis0, axis1, indexing="ij") raveled. The values run over
+    consecutive axis elements, wrapping past the end, from element
+    (start // stride) % len(axis) to the last one the rows reach, at most
+    min(stop - start, len(axis)) of them; values[index] is the angle column.
     """
     rows = np.arange(start, stop)
-    columns = {}
+    grid = {}
     stride = 1
     for name, axis in reversed(axes.items()):
-        columns[name] = axis[rows // stride % len(axis)]
+        pos, lo = rows // stride, start // stride
+        used = min(int(pos[-1]) - lo + 1, len(axis))
+        grid[name] = axis[(lo + np.arange(used)) % len(axis)], (pos - lo) % len(axis)
         stride *= len(axis)
-    return columns
+    return grid
 
 
 def cmd_sweep(args) -> int:
@@ -206,12 +207,12 @@ def cmd_sweep(args) -> int:
             handle.write(CSV_HEADER + "\n")
             for start in range(0, total, SWEEP_BLOCK_ROWS):
                 stop = min(start + SWEEP_BLOCK_ROWS, total)
-                columns = _sweep_grid(axes, start, stop)
+                grid = _sweep_grid(axes, start, stop)
                 s = np.full(stop - start, label.s, dtype=np.int64)
                 t = np.full(stop - start, label.t, dtype=np.int64)
                 try:
                     probs = bipartite.joint_closed_batch(
-                        columns["mu"], columns["eta"], columns["nu"], columns["zeta"], s, t
+                        *(values[index] for values, index in map(grid.get, _ANGLE_NAMES)), s, t
                     )
                 except InternalConsistencyError as exc:  # name the grid row, not the block's
                     raise InternalConsistencyError(exc.gap, start + exc.row) from None
@@ -219,39 +220,29 @@ def cmd_sweep(args) -> int:
                 mutual = information.mutual_information_rows(probs)
                 degree = information.degree_rows(probs)
                 independent = (np.abs(probs[:, 0] - 0.25) <= args.tol).astype(int)
-                _write_sweep_rows(handle, label, columns, probs, entropy, mutual, degree, independent)
+                _write_sweep_rows(handle, label, grid, probs, entropy, mutual, degree, independent)
     except OSError as exc:  # name the path given, not _replacing's temp file
         raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     return EXIT_OK
 
 
-class _AngleText(dict):
-    """float -> its 17-digit text, formatted on first use."""
+def _write_sweep_rows(handle, label, grid, probs, entropy, mutual, degree, independent) -> None:
+    """Write one block's CSV rows to handle.
 
-    def __missing__(self, value: float) -> str:
-        text = "%.17g" % value
-        if value != 0.0:  # 0.0 == -0.0 as keys, but they print as "0" and "-0"
-            self[value] = text
-        return text
-
-
-def _write_sweep_rows(handle, label, columns, probs, entropy, mutual, degree, independent) -> None:
-    """Write the CSV rows to handle, formatting SWEEP_BLOCK_ROWS rows at a time.
-
-    ``"%.17g" % x`` is the text of ``_fmt(x)`` for every float; the label bits
-    are the same on every row, so they are part of the row format. The rows
-    are Bell-shaped as joint_closed_batch gives them, p11 == p00 and
-    p10 == p01 bit for bit, so p11 and p10 reuse the text of p00 and p01.
+    ``"%.17g" % x`` is the text of ``_fmt(x)`` for every float. Each angle's
+    block values (see _sweep_grid) are formatted once and their texts gathered
+    by row index; the label bits are the same on every row, so they are part
+    of the row format. The rows are Bell-shaped as joint_closed_batch gives
+    them, p11 == p00 and p10 == p01 bit for bit, so p11 and p10 reuse the
+    text of p00 and p01.
     """
     row = f"%s,%s,%s,%s,{label.s},{label.t},%s,%s,%s,%s," + ",".join(["%.17g"] * 3) + ",%d\n"
-    for start in range(0, probs.shape[0], SWEEP_BLOCK_ROWS):
-        block = slice(start, start + SWEEP_BLOCK_ROWS)
-        angle_text = _AngleText()  # one per block, so distinct angles cannot pile up
-        angles = [map(angle_text.__getitem__, columns[name][block].tolist()) for name in _ANGLE_NAMES]
-        p00, p01 = ([*map("%.17g".__mod__, probs[block, k].tolist())] for k in (0, 1))
-        fields = zip(*angles, p00, p01, p01, p00, entropy[block].tolist(),
-                     mutual[block].tolist(), degree[block].tolist(), independent[block].tolist())
-        handle.write("".join(map(row.__mod__, fields)))
+    angles = [np.array([*map("%.17g".__mod__, values.tolist())], dtype=object)[index].tolist()
+              for values, index in map(grid.get, _ANGLE_NAMES)]
+    p00, p01 = ([*map("%.17g".__mod__, probs[:, k].tolist())] for k in (0, 1))
+    fields = zip(*angles, p00, p01, p01, p00, entropy.tolist(), mutual.tolist(), degree.tolist(),
+                 independent.tolist())
+    handle.write("".join(map(row.__mod__, fields)))
 
 
 @contextlib.contextmanager
@@ -508,11 +499,7 @@ def cmd_sample(args) -> int:
         bipartite.INDEX_ORDER, counts.counts, empirical.p, dist.p, scores
     ):
         print(f"({k},{ell})  {observed:>12}  {_fmt(emp):<20} {_fmt(expected):<20} {z:+.3f}")
-    print(f"empirical theta       = {_fmt(report.theta)}")
-    print(f"empirical entropy     = {_fmt(report.entropy)} nats")
-    print(f"empirical mutual_info = {_fmt(report.mutual_info)} nats")
-    print(f"empirical degree      = {_fmt(report.degree)}")
-    print(f"independent = {'yes' if report.independent else 'no'} (tol {_fmt(report.tolerance)})")
+    _print_report(report, prefix="empirical ")
     return EXIT_OK
 
 

@@ -6,9 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellxtalk import bipartite, cli, information
-from bellxtalk.bipartite import BellLabel
 from bellxtalk.cli import CSV_HEADER, main, run_verification
 
 PI = math.pi
@@ -190,6 +191,12 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err == f"error: --vary range {spec.partition('=')[2]!r} must be finite\n"
+
+    def test_vary_range_wider_than_a_float_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--vary", "mu=-1e308:1e308:3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --vary range '-1e308:1e308:3' is wider than the largest float\n"
 
 
 class TestVerify:
@@ -395,8 +402,9 @@ def reference_sweep_csv(grid, s, t, tol):
     return ("\n".join(lines) + "\n").encode()
 
 
-# (argv, the grid it asks for); rows 1, BLOCK + 1 and 2 * BLOCK + 7, so the
-# last block is partial; -0 beside 0 checks that signed zeros keep their text
+# (argv, the grid it asks for, s, t); rows 1, BLOCK + 1, 2 * BLOCK + 7 and more
+# than BLOCK in the last two, so the last block is partial; -0 beside 0 checks
+# that signed zeros keep their text
 WRITER_CASES = [
     (["--mu", "-0", "--eta", TWO_PI_STR, "--nu", "1.1", "--zeta", "0", "--s", "1", "--t", "1"],
      {"mu": [-0.0], "eta": [2 * PI], "nu": [1.1], "zeta": [0.0]}, 1, 1),
@@ -410,16 +418,23 @@ WRITER_CASES = [
       "eta": np.repeat(np.linspace(0.0, 2 * PI, 3), (2 * BLOCK + 7) // 3),
       "nu": np.tile(np.linspace(0.0, PI, (2 * BLOCK + 7) // 3), 3),
       "zeta": np.full(2 * BLOCK + 7, PI / 2)}, 1, 0),
+    # degrees: the axes are np.radians of the degree linspaces, the fixed angles math.radians
+    (["--deg", "--mu", "30", "--zeta", "90", "--s", "0", "--t", "0",
+      "--vary", "eta=0:360:5", "--vary", f"nu=0:180:{BLOCK // 2 + 1}"],
+     {"mu": np.full(5 * (BLOCK // 2 + 1), math.radians(30)),
+      "eta": np.repeat(np.radians(np.linspace(0.0, 360.0, 5)), BLOCK // 2 + 1),
+      "nu": np.tile(np.radians(np.linspace(0.0, 180.0, BLOCK // 2 + 1)), 5),
+      "zeta": np.full(5 * (BLOCK // 2 + 1), math.radians(90))}, 0, 0),
+    # no --eta or --zeta: the default 0.0 fixed angles, and a fast axis shorter than a block
+    (["--s", "1", "--t", "1", "--vary", f"mu=0:{PI_STR}:3", "--vary", f"nu=0:{PI_STR}:{BLOCK - 5}"],
+     {"mu": np.repeat(np.linspace(0.0, PI, 3), BLOCK - 5), "eta": np.zeros(3 * (BLOCK - 5)),
+      "nu": np.tile(np.linspace(0.0, PI, BLOCK - 5), 3), "zeta": np.zeros(3 * (BLOCK - 5))}, 1, 1),
 ]
 
 
-class _Discard:
-    def write(self, text):
-        pass
-
-
 class TestSweepWriter:
-    @pytest.mark.parametrize("argv, grid, s, t", WRITER_CASES, ids=["1", "block+1", "2block+7"])
+    @pytest.mark.parametrize("argv, grid, s, t", WRITER_CASES,
+                             ids=["1", "block+1", "2block+7", "deg", "default-angles"])
     def test_bytes_match_reference_on_file_and_stdout(self, tmp_path, capsys, argv, grid, s, t):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *argv, "--tol", "0.2", "--out", str(out)]) == 0
@@ -444,14 +459,16 @@ class TestSweepWriter:
         class Broken(RuntimeError):
             pass
 
-        class FailingAfterFirstBlock(cli._AngleText):
-            def __init__(self):
-                blocks.append(self)
-                if len(blocks) > 1:
-                    raise Broken("second block")
+        write = cli._write_sweep_rows
+
+        def failing_after_first_block(*args):
+            blocks.append(args)
+            if len(blocks) > 1:
+                raise Broken("second block")
+            write(*args)
 
         monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 2)
-        monkeypatch.setattr(cli, "_AngleText", FailingAfterFirstBlock)
+        monkeypatch.setattr(cli, "_write_sweep_rows", failing_after_first_block)
         with pytest.raises(Broken):
             main(["sweep", "--vary", "nu=0:1:5", "--out", str(out)])
         assert len(blocks) == 2
@@ -482,23 +499,44 @@ class TestSweepWriter:
         assert main(["sweep", "--vary", "nu=0:1:3"]) == 0
         assert received == [capsys.readouterr().out.encode()]
 
-    def test_formatting_memory_does_not_grow_with_rows(self):
-        rng = np.random.default_rng(3)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), names=st.permutations(cli._ANGLE_NAMES), varied=st.integers(0, 2))
+    def test_grid_block_gathers_the_meshgrid_rows(self, data, names, varied):
+        # the axes as _sweep_axes orders them: the varied ones first, then the fixed
+        # ones in kernel order; -0.0 beside 0.0 checks that the gather keeps the sign
+        angle = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+        order = [*names[:varied], *(n for n in cli._ANGLE_NAMES if n not in names[:varied])]
+        sizes = data.draw(st.lists(st.integers(1, 50), min_size=varied, max_size=varied))
+        axes = {
+            name: np.array(data.draw(st.lists(angle, min_size=size, max_size=size)))
+            for name, size in zip(order, sizes + [1] * (4 - varied))
+        }
+        total = math.prod(len(axis) for axis in axes.values())
+        start = data.draw(st.integers(0, total - 1))
+        stop = data.draw(st.integers(start + 1, total))
+        mesh = np.meshgrid(*axes.values(), indexing="ij")
+        grid = cli._sweep_grid(axes, start, stop)
+        for name, column in zip(axes, mesh):
+            values, index = grid[name]
+            want = column.ravel()[start:stop]
+            assert len(values) <= min(stop - start, len(axes[name]))
+            assert values[index].tobytes() == want.tobytes()
+            texts = ["%.17g" % value for value in values.tolist()]
+            assert [texts[i] for i in index.tolist()] == ["%.17g" % value for value in want.tolist()]
 
-        def peak(rows):
-            columns = {name: rng.uniform(0.0, PI, rows) for name in ("mu", "eta", "nu", "zeta")}
-            probs = rng.dirichlet(np.ones(4), rows)
-            entropy, mutual, degree = rng.uniform(0.0, 1.0, (3, rows))
-            independent = rng.integers(0, 2, rows)
+    def test_one_axis_sweep_memory_is_the_axis_plus_one_block(self, tmp_path):
+        out = str(tmp_path / "sweep.csv")
+
+        def peak(steps):
             tracemalloc.start()
             try:
-                cli._write_sweep_rows(_Discard(), BellLabel(0, 1), columns, probs,
-                                      entropy, mutual, degree, independent)
+                assert main(["sweep", "--vary", f"mu=0:{PI_STR}:{steps}", "--out", out]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(8 * BLOCK) < 2 * peak(2 * BLOCK)
+        # the axis takes 8 B per step; the texts of a whole axis would take about 98
+        assert peak(32 * BLOCK) - peak(4 * BLOCK) < 16 * (32 * BLOCK - 4 * BLOCK)
 
     def test_sweep_memory_does_not_grow_with_rows(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
@@ -583,14 +621,16 @@ class TestUnwritableOut:
         out.write_bytes(b"previous contents\n")
         blocks = []
 
-        class DiskFullAfterFirstBlock(cli._AngleText):
-            def __init__(self):
-                blocks.append(self)
-                if len(blocks) > 1:
-                    raise OSError(28, "No space left on device")
+        write = cli._write_sweep_rows
+
+        def disk_full_after_first_block(*args):
+            blocks.append(args)
+            if len(blocks) > 1:
+                raise OSError(28, "No space left on device")
+            write(*args)
 
         monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 2)
-        monkeypatch.setattr(cli, "_AngleText", DiskFullAfterFirstBlock)
+        monkeypatch.setattr(cli, "_write_sweep_rows", disk_full_after_first_block)
         code, stdout, err = run_cli(capsys, "sweep", "--vary", "nu=0:1:5", "--out", str(out))
         assert code == 2
         assert err == f"error: cannot write {out}: No space left on device\n"
