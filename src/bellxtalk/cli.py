@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 The algebra lives in the library: sweep and verify call the batch routes
 (verify also bipartite.commutator_norms) one block of rows at a time, so
-neither holds more than one block.
+neither holds more than one block. The sweep CSV's text is exactly
+``"%.17g" %`` of each float; _text makes it one numpy pass per column of a
+block and is loaded by the first block written, not by importing this module.
 """
 
 from __future__ import annotations
@@ -229,20 +231,24 @@ def cmd_sweep(args) -> int:
 def _write_sweep_rows(handle, label, grid, probs, entropy, mutual, degree, independent) -> None:
     """Write one block's CSV rows to handle.
 
-    ``"%.17g" % x`` is the text of ``_fmt(x)`` for every float. Each angle's
-    block values (see _sweep_grid) are formatted once and their texts gathered
-    by row index; the label bits are the same on every row, so they are part
-    of the row format. The rows are Bell-shaped as joint_closed_batch gives
-    them, p11 == p00 and p10 == p01 bit for bit, so p11 and p10 reuse the
-    text of p00 and p01.
+    Every float's text is ``"%.17g" % x``, the text of ``_fmt(x)``, made one
+    column at a time by ``_text.floats``. Each angle's block values (see
+    _sweep_grid) are formatted once and their texts gathered by row index.
+    The rows are Bell-shaped as joint_closed_batch gives them, p11 == p00 and
+    p10 == p01 bit for bit, so p11 and p10 reuse the texts of p00 and p01.
+    The label bits are the same on every row. The rows go to handle as str,
+    about a thousand at a time, so any text handle takes them: the --out temp
+    file, sys.stdout or a StringIO.
     """
-    row = f"%s,%s,%s,%s,{label.s},{label.t},%s,%s,%s,%s," + ",".join(["%.17g"] * 3) + ",%d\n"
-    angles = [np.array([*map("%.17g".__mod__, values.tolist())], dtype=object)[index].tolist()
-              for values, index in map(grid.get, _ANGLE_NAMES)]
-    p00, p01 = ([*map("%.17g".__mod__, probs[:, k].tolist())] for k in (0, 1))
-    fields = zip(*angles, p00, p01, p01, p00, entropy.tolist(), mutual.tolist(), degree.tolist(),
-                 independent.tolist())
-    handle.write("".join(map(row.__mod__, fields)))
+    from . import _text  # here, so that importing the CLI does not load it
+
+    angles = [_text.floats(values)[index] for values, index in map(grid.get, _ANGLE_NAMES)]
+    p00, p01 = (_text.floats(probs[:, k]) for k in (0, 1))
+    flags = (independent + ord("0")).astype(np.uint8)[:, None]  # 0 or 1
+    fields = [*angles, str(label.s).encode(), str(label.t).encode(), p00, p01, p01, p00,
+              *map(_text.floats, (entropy, mutual, degree)), flags]
+    for text in _text.lines(fields):
+        handle.write(text)
 
 
 @contextlib.contextmanager

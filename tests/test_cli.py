@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import stat
@@ -429,12 +431,18 @@ WRITER_CASES = [
     (["--s", "1", "--t", "1", "--vary", f"mu=0:{PI_STR}:3", "--vary", f"nu=0:{PI_STR}:{BLOCK - 5}"],
      {"mu": np.repeat(np.linspace(0.0, PI, 3), BLOCK - 5), "eta": np.zeros(3 * (BLOCK - 5)),
       "nu": np.tile(np.linspace(0.0, PI, BLOCK - 5), 3), "zeta": np.zeros(3 * (BLOCK - 5))}, 1, 1),
+    # near the pole one block holds p01 == 0 at mu = 0, p01 < 1e-4 and mu < 1e-4 in exponent
+    # form, and values that take the numpy fast path
+    (["--nu", "0", "--s", "0", "--t", "0", "--vary", f"mu=0:1e-3:{BLOCK + 3}"],
+     {"mu": np.linspace(0.0, 1e-3, BLOCK + 3), "eta": np.zeros(BLOCK + 3),
+      "nu": np.zeros(BLOCK + 3), "zeta": np.zeros(BLOCK + 3)}, 0, 0),
 ]
+WRITER_IDS = ["1", "block+1", "2block+7", "deg", "default-angles", "near-pole"]
 
 
 class TestSweepWriter:
     @pytest.mark.parametrize("argv, grid, s, t", WRITER_CASES,
-                             ids=["1", "block+1", "2block+7", "deg", "default-angles"])
+                             ids=WRITER_IDS)
     def test_bytes_match_reference_on_file_and_stdout(self, tmp_path, capsys, argv, grid, s, t):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *argv, "--tol", "0.2", "--out", str(out)]) == 0
@@ -442,6 +450,15 @@ class TestSweepWriter:
         blob = out.read_bytes()
         assert blob == reference_sweep_csv(grid, s, t, 0.2)
         assert capsys.readouterr().out.encode() == blob
+
+    @pytest.mark.parametrize("argv, grid, s, t", WRITER_CASES, ids=WRITER_IDS)
+    def test_stdout_without_a_binary_buffer_matches_out(self, tmp_path, argv, grid, s, t):
+        # a StringIO has no .buffer, so the writer must take text handles
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(["sweep", *argv]) == 0
+        assert stdout.getvalue().encode() == out.read_bytes()
 
     def test_out_file_is_the_only_file_left_with_the_usual_mode(self, tmp_path):
         out = tmp_path / "sweep.csv"
