@@ -21,7 +21,8 @@ with the row index last: the lifts A tensor I and I tensor B (lift_first,
 lift_second, on a 2x2 operator or a (2, 2, n) stack), the lifted commutator
 norms (commutator_norms) and the brute-force kernel. The one-pair functions
 (commutator_norm, joint_distribution_bruteforce, bell_state) are one-row
-calls of them.
+calls of them. commutator_norms lifts the four matrix units once per call
+and expands each row's commutator in their 16 commutators.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ PROB_SLACK = 1e-12        # numeric undershoot tolerated before clamping
 SUM_TOL = 1e-12
 NORM_TOL = 1e-10
 CLOSED_VARIANT_TOL = 1e-10  # max disagreement allowed between the two closed forms
+#: rows per commutator_norms tile; its (16, n) complex products and entries
+#: take 128 KB each and a 4096-row call peaks near 500 KB, which glibc keeps
+#: from tile to tile (at 768 rows it faulted about 150 pages back in per call).
+#: Unless pinned to one thread, OpenBLAS runs the (16, 16) product on two from
+#: 256 rows on; 255-row tiles avoid that but made the commutator 15-20% slower
+COMMUTATOR_TILE_ROWS = 512
 
 
 class InternalConsistencyError(RuntimeError):
@@ -236,17 +243,26 @@ def _matmul_rows_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def commutator_norms(mu, eta, nu, zeta) -> np.ndarray:
     """Frobenius norm of [A tensor I, I tensor B] for each row of angles; shape (n,).
 
-    Struct-of-arrays form, the row index last: the generic Kronecker lifts
-    and both full 4x4 products are (4, 4, n) stacks, and each squared norm
-    sums the squares of the commutator's float64 view. Angles are 1-d float
-    arrays of one length and are not validated.
+    The lifts are linear (a test checks this) and the matrix units E_pq span
+    every 2x2 operator, so a row's commutator is the sum of A_pq B_rs times
+    [lift_first(E_pq), lift_second(E_rs)]. Those 16 are built once per call;
+    a tile of rows is then one (16, 16) @ (16, tile) product. Angles are 1-d
+    float arrays of one length and are not validated.
     """
-    lift_a = lift_first(matrices(mu, eta))
-    lift_b = lift_second(matrices(nu, zeta))
-    comm = _matmul_rows_last(lift_a, lift_b) - _matmul_rows_last(lift_b, lift_a)
-    parts = comm.reshape(16, -1).view(np.float64)  # re, im of each row side by side
-    squares = np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1)
-    return np.sqrt(squares)
+    units = np.eye(4, dtype=np.complex128).reshape(2, 2, 4)  # E_pq at 2p + q
+    lift_a = lift_first(np.repeat(units, 4, axis=2))  # column 4i + j pairs E_i with E_j
+    lift_b = lift_second(np.tile(units, 4))
+    basis = (_matmul_rows_last(lift_a, lift_b) - _matmul_rows_last(lift_b, lift_a)).reshape(16, 16)
+    norms = np.empty(len(mu))
+    for start in range(0, len(mu), COMMUTATOR_TILE_ROWS):
+        tile = slice(start, start + COMMUTATOR_TILE_ROWS)
+        a = matrices(mu[tile], eta[tile]).reshape(4, -1)
+        b = matrices(nu[tile], zeta[tile]).reshape(4, -1)
+        # re, im of each row's 16 entries side by side
+        parts = (basis @ np.einsum("in,jn->ijn", a, b).reshape(16, -1)).view(np.float64)
+        squares = np.einsum("ij,ij->j", parts, parts)
+        norms[tile] = np.sqrt(squares[0::2] + squares[1::2])
+    return norms
 
 
 def is_klein_symmetric(dist: JointDistribution, tol: float = 1e-12) -> bool:

@@ -6,10 +6,11 @@ independence (closed-form angle conditions), sample (seeded sampling run).
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 The algebra lives in the library: sweep and verify call the batch routes
-(verify also bipartite.commutator_norms) one block of rows at a time, so
-neither holds more than one block. The sweep CSV's text is exactly
-``"%.17g" %`` of each float; _text makes it one numpy pass per column of a
-block and is loaded by the first block written, not by importing this module.
+(verify also bipartite.commutator_norms, which tiles each block itself) one
+block of rows at a time, so neither holds more than one block. The sweep
+CSV's text is exactly ``"%.17g" %`` of each float; _text makes it one numpy
+pass per column of a block and is loaded by the first block written, not by
+importing this module.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ SWEEP_BLOCK_ROWS = 4096
 #: verify tuples per block; the draws and every route, reduction and check run
 #: one block at a time, so verify's memory stays at one block whatever --samples
 VERIFY_BLOCK_ROWS = 4096
-#: tuples per commutator tile; its (4, 4, n) complex stacks take 64 KB each and
-#: a tile peaks near 400 KB. glibc then keeps that memory from tile to tile; at
-#: 512 tuples (about 800 KB a tile) it returned it to the OS after most tiles
-#: and faulted it back in, about 190 minor faults per tile
-COMMUTATOR_TILE_ROWS = 256
 
 _ANGLE_NAMES = ("mu", "eta", "nu", "zeta")
 _PLANE_FLAGS = {"x0": Plane.X_ZERO, "y0": Plane.Y_ZERO, "z0": Plane.Z_ZERO}
@@ -412,15 +408,16 @@ def _verify_draws(samples: int, seed: int):
 
 
 def _max_commutator_norm(mu, eta, nu, zeta) -> float:
-    """Largest Frobenius norm of [A (x) I, I (x) B], COMMUTATOR_TILE_ROWS tuples at a time.
+    """Largest Frobenius norm of [A (x) I, I (x) B], VERIFY_BLOCK_ROWS tuples at a time.
 
-    Each tile is one bipartite.commutator_norms call.
+    Each block is one bipartite.commutator_norms call, which tiles it; verify
+    passes one block, so a longer input is the only one that loops here.
     """
-    tile_max = []
-    for start in range(0, len(mu), COMMUTATOR_TILE_ROWS):
-        tile = slice(start, start + COMMUTATOR_TILE_ROWS)
-        tile_max.append(bipartite.commutator_norms(mu[tile], eta[tile], nu[tile], zeta[tile]).max())
-    return float(np.max(tile_max))
+    block_max = []
+    for start in range(0, len(mu), VERIFY_BLOCK_ROWS):
+        rows = slice(start, start + VERIFY_BLOCK_ROWS)
+        block_max.append(bipartite.commutator_norms(mu[rows], eta[rows], nu[rows], zeta[rows]).max())
+    return float(np.max(block_max))
 
 
 def cmd_verify(args) -> int:

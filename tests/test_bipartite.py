@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bellxtalk import _kernels, bipartite, cli
 from bellxtalk.bipartite import (
@@ -39,6 +40,14 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 # brute-force Born-rule oracle value for (mu=pi/3, eta=0; nu=pi/4, zeta=0) on
 # label (0,0); equals 0.5*cos(pi/24)^2 on the diagonal
 ORACLE_PI3_PI4 = (0.4914814565722671, 0.008518543427732917, 0.008518543427732912, 0.4914814565722671)
+
+
+ENTRY = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+def _random_angles(seed, rows):
+    rng = np.random.default_rng(seed)
+    return tuple(rng.uniform(0, hi, rows) for hi in (PI, 2 * PI, PI, 2 * PI))
 
 
 def pair_of(mu, eta, nu, zeta):
@@ -106,6 +115,21 @@ class TestLifts:
             for m in bad:
                 with pytest.raises(ValueError):
                     lift(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stacks=arrays(np.complex128, st.integers(1, 8).map(lambda n: (2, 2, 2, n)), elements=ENTRY),
+        alpha=ENTRY,
+        beta=ENTRY,
+    )
+    def test_lifts_are_linear_on_stacks(self, stacks, alpha, beta):
+        # commutator_norms expands each row in the lifted matrix units, which is exact only for linear lifts
+        x, y = stacks
+        scale = abs(alpha) * np.abs(x).max() + abs(beta) * np.abs(y).max()
+        for lift in (lift_first, lift_second):
+            combined = lift(alpha * x + beta * y)
+            assert combined.shape == (4, 4, x.shape[2])
+            assert np.abs(combined - (alpha * lift(x) + beta * lift(y))).max() <= 1e-14 * scale
 
 
 class TestOutcomeFrame:
@@ -421,8 +445,11 @@ class TestCommutator:
             assert commutator_norm(pair_of(mu, eta, nu, zeta)) == cli._max_commutator_norm(*rows)
 
     @staticmethod
-    def _reference_norms(mu, eta, nu, zeta, second_on_first=False):
-        """Scalar np.kron lifts, 4x4 products and Frobenius norm, one row at a time."""
+    def _reference_norms(mu, eta, nu, zeta, second_on_first=False, leak=0.0):
+        """Scalar np.kron lifts, 4x4 products and Frobenius norm, one row at a time.
+
+        A nonzero leak adds leak * (B tensor I) to the lift of B.
+        """
         def hand_matrix(polar, azimuth):
             phase = complex(math.cos(azimuth), -math.sin(azimuth))
             c, s = math.cos(polar), math.sin(polar)
@@ -433,6 +460,8 @@ class TestCommutator:
             big_a = np.kron(hand_matrix(*row[:2]), IDENTITY2)
             b = hand_matrix(*row[2:])
             big_b = np.kron(b, IDENTITY2) if second_on_first else np.kron(IDENTITY2, b)
+            if leak:
+                big_b = big_b + leak * np.kron(b, IDENTITY2)
             norms.append(np.linalg.norm(big_a @ big_b - big_b @ big_a))
         return np.array(norms)
 
@@ -455,6 +484,34 @@ class TestCommutator:
         mu, eta, nu, zeta, s, t = _edge_grid(EDGE_POLAR, EDGE_AZIMUTH)
         one_label = (s == 0) & (t == 0)  # the commutator does not depend on the label
         self._check_against_reference((mu[one_label], eta[one_label], nu[one_label], zeta[one_label]), monkeypatch)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_tile_edges_match_scalar_reference(self, offset, monkeypatch):
+        self._check_against_reference(_random_angles(43, bipartite.COMMUTATOR_TILE_ROWS + offset), monkeypatch)
+
+    @pytest.mark.parametrize("rows", [1, cli.VERIFY_BLOCK_ROWS + 1])
+    def test_one_row_and_a_block_past_its_end_match_scalar_reference(self, rows, monkeypatch):
+        self._check_against_reference(_random_angles(47, rows), monkeypatch)
+
+    def test_small_leak_onto_the_wrong_factor_is_measured(self, monkeypatch):
+        # I (x) B + 1e-9 B (x) I: the commutator is 1e-9 [A, B] (x) I, far above rounding
+        lift_second = bipartite.lift_second
+        monkeypatch.setattr(bipartite, "lift_second", lambda b: lift_second(b) + 1e-9 * bipartite.lift_first(b))
+        angles = _random_angles(53, 300)
+        reference = self._reference_norms(*angles, leak=1e-9)
+        assert reference.max() > 1e-9
+        assert np.abs(commutator_norms(*angles) - reference).max() <= 1e-15
+
+    def test_a_lift_patched_between_calls_reaches_the_next_call(self, monkeypatch):
+        # the basis commutators are built on every call, never kept from an earlier one
+        angles = _random_angles(59, 40)
+        correct = commutator_norms(*angles)
+        assert correct.max() <= 1e-15
+        monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)
+        wrong = commutator_norms(*angles)
+        assert np.abs(wrong - self._reference_norms(*angles, second_on_first=True)).max() <= 1e-14
+        monkeypatch.undo()
+        assert np.array_equal(commutator_norms(*angles), correct)
 
 
 class TestInternalConsistency:

@@ -278,6 +278,25 @@ class TestVerify:
         assert line.split()[-1] == "FAIL"
         assert float(line.split()[-2]) > 0.1
 
+    def test_planted_lift_of_a_onto_the_second_factor_fails_the_commutator_check(self, capsys, monkeypatch):
+        # A lifted onto the second factor: [I (x) A, I (x) B] = I (x) [A, B] is not zero
+        monkeypatch.setattr(bipartite, "lift_first", bipartite.lift_second)
+        code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "2")
+        assert code == 1
+        line = next(l for l in out.splitlines() if "lifted commutator norm" in l)
+        assert line.split()[-1] == "FAIL"
+        assert float(line.split()[-2]) > 0.1
+
+    def test_small_leak_in_a_lift_fails_the_commutator_check(self, capsys, monkeypatch):
+        # I (x) B + 1e-9 B (x) I leaves a commutator near 1e-9, far below the gross faults above
+        lift_second = bipartite.lift_second
+        monkeypatch.setattr(bipartite, "lift_second", lambda b: lift_second(b) + 1e-9 * bipartite.lift_first(b))
+        code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "2", "--tol", "1e-12")
+        assert code == 1
+        statuses = {l[:32].strip(): l.split()[-1] for l in out.splitlines() if l.endswith(("OK", "FAIL"))}
+        assert statuses.pop("lifted commutator norm") == "FAIL"
+        assert set(statuses.values()) == {"OK"}
+
 
 class TestIndependenceCommand:
     @staticmethod
