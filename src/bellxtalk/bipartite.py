@@ -12,9 +12,10 @@ half-angle sums.
 
 Batches go through the joint_*_batch wrappers, which validate the arrays and
 clamp. A single pair (joint_distribution_closed) calls the closed kernels
-directly on its one-row arrays: the Observable and BellLabel constructors
-have validated its angles and bits, and JointDistribution checks and clamps
-the cells. The closed-variant cross-check runs on both routes.
+directly on one-element lists, which they evaluate with math rather than
+numpy: the Observable and BellLabel constructors have validated its angles
+and bits, and JointDistribution checks and clamps the cells. The
+closed-variant cross-check runs on both routes.
 
 Each piece of two-qubit algebra is written once, in struct-of-arrays form
 with the row index last: the lifts A tensor I and I tensor B (lift_first,
@@ -200,24 +201,23 @@ def joint_distribution_bruteforce(pair: ObservablePair, psi) -> JointDistributio
 
 def joint_distribution_amplitude(pair: ObservablePair, label: BellLabel) -> JointDistribution:
     """Joint probabilities from the interference amplitude formula."""
-    mu, eta, nu, zeta, s, t = _point_arrays(pair, label)
-    row = joint_amplitude_batch(mu, eta, nu, zeta, s, t)[0]
-    return JointDistribution(tuple(row))
+    return JointDistribution(tuple(joint_amplitude_batch(*_point_row(pair, label))[0]))
 
 
 def joint_distribution_closed(pair: ObservablePair, label: BellLabel) -> JointDistribution:
     """Joint probabilities (1 +- a.S b)/4 from the correlation of the Bloch vectors.
 
-    Calls the closed kernels on the pair's one-row arrays, without the batch
-    wrapper: Observable and BellLabel have already validated the angles and
-    bits, and JointDistribution checks the range and the sum and clamps. The
-    alternate half-angle closed form is evaluated as well; a disagreement
-    beyond CLOSED_VARIANT_TOL raises InternalConsistencyError instead of
-    averaging.
+    Calls the closed kernels on one-element lists of the pair's angles and
+    bits, without the batch wrapper, so they evaluate the row with math on
+    plain floats instead of numpy: Observable and BellLabel have already
+    validated the angles and bits, and JointDistribution checks the range and
+    the sum and clamps. The alternate half-angle closed form is evaluated as
+    well; a disagreement beyond CLOSED_VARIANT_TOL raises
+    InternalConsistencyError instead of averaging.
     """
-    arrays = _point_arrays(pair, label)
-    primary = _kernels.closed_joint(*arrays)
-    _require_variant_agreement(primary, _kernels.closed_joint_alt(*arrays))
+    row = _point_row(pair, label)
+    primary = _kernels.closed_joint(*row)
+    _require_variant_agreement(primary, _kernels.closed_joint_alt(*row))
     return JointDistribution(tuple(primary[0].tolist()))
 
 
@@ -286,8 +286,9 @@ def _angle_arrays(pair: ObservablePair):
     return np.array([pair.a.mu]), np.array([pair.a.eta]), np.array([pair.b.mu]), np.array([pair.b.eta])
 
 
-def _point_arrays(pair: ObservablePair, label: BellLabel):
-    return (*_angle_arrays(pair), np.array([label.s], dtype=np.int64), np.array([label.t], dtype=np.int64))
+def _point_row(pair: ObservablePair, label: BellLabel):
+    """The pair's angles and the label's bits as one-element lists."""
+    return [pair.a.mu], [pair.a.eta], [pair.b.mu], [pair.b.eta], [label.s], [label.t]
 
 
 #: upper end of each angle's domain [0, hi]; eta/zeta accept the closed end

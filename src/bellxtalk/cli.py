@@ -194,8 +194,8 @@ def cmd_sweep(args) -> int:
     the start of the grid. On stdout the header and the earlier blocks have
     been written by then; --out is left as it was.
     """
-    if not args.tol > 0.0:  # also rejects NaN
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < args.tol < math.inf:  # also rejects NaN
+        raise ValueError("tolerance must be positive and finite")
     label = BellLabel(args.s, args.t)
     axes, total = _sweep_axes(args)
 
@@ -421,8 +421,8 @@ def _max_commutator_norm(mu, eta, nu, zeta) -> float:
 
 
 def cmd_verify(args) -> int:
-    if not args.tol > 0.0:  # also rejects NaN
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < args.tol < math.inf:  # also rejects NaN
+        raise ValueError("tolerance must be positive and finite")
     result = run_verification(samples=args.samples, seed=args.seed)
     checks = [
         ("three-method max gap", result.max_method_gap),

@@ -93,8 +93,8 @@ def _check_bit(value: int, name: str) -> int:
 
 
 def _satisfied(kind: ConditionKind, targets: tuple[float, ...], first: float, second: float, tol: float) -> bool:
-    if not tol > 0.0:  # also rejects NaN
-        raise ValueError("angle tolerance must be positive")
+    if not 0.0 < tol < math.inf:  # also rejects NaN
+        raise ValueError("angle tolerance must be positive and finite")
     value = first + second if kind is ConditionKind.SUM else abs(first - second)
     return any(abs(value - target) <= tol for target in targets)
 
@@ -196,22 +196,19 @@ def solve_independence(
 
     Evaluates theta(x) - 1/4 on an inclusive grid of `grid` points over
     [lo, hi] in one closed-form batch call, keeps grid points already within
-    theta_tol, and bisects every bracketing sign change. Tangential zeros
-    that do not change sign are found only when a grid point lands within
-    theta_tol (best effort).
+    theta_tol, and bisects every bracketing sign change with one one-pair
+    closed-form call per step. Tangential zeros that do not change sign are
+    found only when a grid point lands within theta_tol (best effort).
     Results are sorted by parameter.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
 
-    def residuals(points) -> list[float]:
-        pairs = [path(float(x)) for x in points]
-        angles = np.array([(pair.a.mu, pair.a.eta, pair.b.mu, pair.b.eta) for pair in pairs]).T
-        s, t = np.full(len(pairs), label.s), np.full(len(pairs), label.t)
-        return (bipartite.joint_closed_batch(*angles, s, t)[:, 0] - 0.25).tolist()
-
     xs = np.linspace(float(lo), float(hi), int(grid))
-    values = residuals(xs)
+    pairs = [path(float(x)) for x in xs]
+    angles = np.array([(pair.a.mu, pair.a.eta, pair.b.mu, pair.b.eta) for pair in pairs]).T
+    s, t = np.full(len(pairs), label.s), np.full(len(pairs), label.t)
+    values = (bipartite.joint_closed_batch(*angles, s, t)[:, 0] - 0.25).tolist()
     on_grid = [abs(v) <= theta_tol for v in values]
 
     roots = [
@@ -229,7 +226,7 @@ def solve_independence(
         mid, f_mid = a, f_a
         for _ in range(max_iter):
             mid = 0.5 * (a + b)
-            (f_mid,) = residuals([mid])
+            f_mid = bipartite.joint_distribution_closed(path(mid), label).p[0] - 0.25
             if abs(f_mid) <= theta_tol:
                 break
             if (f_mid < 0.0) == (f_a < 0.0):

@@ -69,8 +69,8 @@ def degree_of_dependence(dist: JointDistribution) -> float:
 
 def is_informationally_independent(dist: JointDistribution, tol: float = DEFAULT_INDEPENDENCE_TOL) -> bool:
     """True when the diagonal probability p00 equals 1/4 within tol."""
-    if not tol > 0.0:  # also rejects NaN
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:  # also rejects NaN
+        raise ValueError("tolerance must be positive and finite")
     return abs(dist.probability(0, 0) - 0.25) <= tol
 
 

@@ -160,8 +160,8 @@ def direction(obs: Observable) -> BlochDirection:
 
 def classify_plane(obs: Observable, tol: float = DEFAULT_PLANE_TOL) -> PlaneClass:
     """Report every coordinate plane whose defining coordinate is within tol."""
-    if not tol > 0.0:  # also rejects NaN
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:  # also rejects NaN
+        raise ValueError("tolerance must be positive and finite")
     d = direction(obs)
     hits = []
     if abs(d.x) <= tol:

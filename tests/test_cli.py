@@ -406,6 +406,71 @@ TWO_PI_STR = repr(2 * PI)
 BLOCK = cli.SWEEP_BLOCK_ROWS
 
 
+#: `probs --method all` stdout, pinned byte for byte: a generic point, poles
+#: with azimuth 2*pi (printed as 0), and A = +y, B = -x, which lie on the
+#: boundaries between the coordinate planes
+GOLDEN_PROBS = [
+    (("--mu", "1.234", "--eta", "4.321", "--nu", "2.468", "--zeta", "0.987", "--s", "1", "--t", "0"), """\
+observable A: mu=1.234 eta=4.3209999999999997
+observable B: nu=2.468 zeta=0.98699999999999999
+bell label:   s=1 t=0
+method:       closed
+joint probabilities p(k,l), rows k=0,1:
+  0.10285369502095354        0.39714630497904646
+  0.39714630497904646        0.10285369502095354
+marginals A:  0.5 0.5
+marginals B:  0.5 0.5
+theta       = 0.10285369502095354
+entropy     = 1.2013606472258467 nats
+mutual_info = 0.18493371389404384 nats
+degree      = 0.26680295192811543
+independent = no (tol 1.0000000000000001e-09)
+max pairwise method discrepancy = 1.665e-16
+"""),
+    (("--mu", "0", "--eta", TWO_PI_STR, "--nu", PI_STR, "--zeta", TWO_PI_STR, "--s", "0", "--t", "1"), """\
+observable A: mu=0 eta=0
+observable B: nu=3.1415926535897931 zeta=0
+bell label:   s=0 t=1
+method:       closed
+joint probabilities p(k,l), rows k=0,1:
+  0.5                        0
+  0                          0.5
+marginals A:  0.5 0.5
+marginals B:  0.5 0.5
+theta       = 0.5
+entropy     = 0.69314718055994529 nats
+mutual_info = 0.69314718055994529 nats
+degree      = 1
+independent = no (tol 1.0000000000000001e-09)
+max pairwise method discrepancy = 1.110e-16
+"""),
+    (("--mu", HALF_PI_STR, "--eta", HALF_PI_STR, "--nu", HALF_PI_STR, "--zeta", PI_STR, "--s", "1", "--t", "1"), """\
+observable A: mu=1.5707963267948966 eta=1.5707963267948966
+observable B: nu=1.5707963267948966 zeta=3.1415926535897931
+bell label:   s=1 t=1
+method:       closed
+joint probabilities p(k,l), rows k=0,1:
+  0.24999999999999997        0.25
+  0.25                       0.24999999999999997
+marginals A:  0.5 0.5
+marginals B:  0.5 0.5
+theta       = 0.24999999999999997
+entropy     = 1.3862943611198906 nats
+mutual_info = 0 nats
+degree      = 0
+independent = yes (tol 1.0000000000000001e-09)
+max pairwise method discrepancy = 5.551e-17
+"""),
+]
+
+
+@pytest.mark.parametrize("point, expected", GOLDEN_PROBS, ids=["generic", "poles", "plane_boundaries"])
+def test_probs_output_is_pinned(capsys, point, expected):
+    code, out, err = run_cli(capsys, "probs", *point, "--method", "all")
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def reference_sweep_csv(grid, s, t, tol):
     """The sweep CSV by the documented rule: every float through format(x, ".17g")."""
     mu, eta, nu, zeta = (np.asarray(grid[name], dtype=np.float64) for name in ("mu", "eta", "nu", "zeta"))
@@ -641,6 +706,16 @@ def test_nan_tolerance_is_usage_error(capsys, command, tol):
     assert code == 2
     assert out == ""
     assert "error: tolerance must be positive" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "1e999"])
+@pytest.mark.parametrize("command", ["probs", "sweep", "verify", "sample"])
+def test_infinite_tolerance_is_usage_error(capsys, command, tol):
+    # with tol = inf every check passes: probs would call any pair independent
+    code, out, err = run_cli(capsys, command, f"--tol={tol}", *(["--samples", "1"] if command == "verify" else []))
+    assert code == 2
+    assert out == ""
+    assert err == "error: tolerance must be positive and finite\n"
 
 
 class TestUnwritableOut:

@@ -253,7 +253,34 @@ class TestSolveIndependence:
         assert solve_independence(path, BellLabel(0, 0), 1000, lo=0.0, hi=1.0) == []
         assert calls == {"point": 0, "batch": 1}
 
+    def test_bisection_costs_one_point_call_per_step(self, monkeypatch):
+        calls = {"point": 0, "batch": 0, "path": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bipartite, "joint_distribution_closed",
+                            counted("point", bipartite.joint_distribution_closed))
+        monkeypatch.setattr(bipartite, "joint_closed_batch", counted("batch", bipartite.joint_closed_batch))
+
+        def path(nu):  # theta = cos^2(nu / 2) / 2 crosses 1/4 once, at nu = pi/2: off the grid and its midpoints
+            return ObservablePair(named_gate("sigma3"), Observable(nu, 0.0))
+
+        roots = solve_independence(counted("path", path), BellLabel(0, 0), 10, lo=0.0, hi=3.0)
+        assert [root.sweep_parameter for root in roots] == [pytest.approx(HALF_PI, abs=1e-9)]
+        steps = calls["path"] - 10  # one pair per grid point, then one per bisection step
+        assert steps > 1
+        assert (calls["batch"], calls["point"]) == (1, steps)
+
 
 def test_nan_angle_tolerance_is_rejected():
     with pytest.raises(ValueError, match="angle tolerance must be positive"):
         condition_x_plane(PI / 4, PI / 4, s=0, tol=math.nan)
+
+
+def test_infinite_angle_tolerance_is_rejected():
+    with pytest.raises(ValueError, match="angle tolerance must be positive and finite"):
+        condition_x_plane(PI / 4, 1.0, s=0, tol=math.inf)

@@ -234,3 +234,8 @@ def test_report_from_distribution_plumbs_tolerance():
 def test_nan_tolerance_is_rejected():
     with pytest.raises(ValueError, match="tolerance must be positive"):
         is_informationally_independent(bell_shaped(0.25), math.nan)
+
+
+def test_infinite_tolerance_is_rejected():
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        is_informationally_independent(bell_shaped(0.3), math.inf)

@@ -1,4 +1,5 @@
-"""The numpy kernels: brute force and the sampler against independent references, and imports."""
+"""The numpy kernels: brute force and the sampler against independent references, the
+closed kernels' one-row math path against their ndarray path, and imports."""
 
 import math
 import os
@@ -7,9 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellxtalk import _kernels, bipartite
-from test_bipartite import EDGE_AZIMUTH, EDGE_POLAR, _edge_grid
+from test_bipartite import EDGE_AZIMUTH, EDGE_POLAR, LABELS, _edge_grid
 
 
 def reference_bruteforce(mu, eta, nu, zeta, psi):
@@ -96,6 +99,51 @@ def test_sampler_chunking_consistent():
     n = _kernels._SAMPLE_CHUNK + 12345
     whole = _kernels.sample_counts_numpy(cdf, n, np.uint64(9))
     assert int(whole.sum()) == n
+
+
+CLOSED_KERNELS = ["closed_joint", "closed_joint_alt"]
+POLAR = st.floats(0.0, math.pi) | st.sampled_from(EDGE_POLAR)
+AZIMUTH = st.floats(0.0, 2 * math.pi) | st.sampled_from(EDGE_AZIMUTH)
+
+
+def _one_row_calls(kernel, mu, eta, nu, zeta, s, t):
+    """kernel on one-element lists, row by row, stacked; each call must be an ndarray of shape (1, 4)."""
+    rows = []
+    for row in zip(mu.tolist(), eta.tolist(), nu.tolist(), zeta.tolist(), s.tolist(), t.tolist()):
+        out = kernel(*([x] for x in row))
+        assert isinstance(out, np.ndarray) and out.shape == (1, 4) and out.dtype == np.float64
+        rows.append(out)
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("name", CLOSED_KERNELS)
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(POLAR, AZIMUTH, POLAR, AZIMUTH, st.sampled_from(LABELS)), min_size=2, max_size=8))
+def test_one_row_lists_match_the_ndarray_path(name, rows):
+    kernel = getattr(_kernels, name)
+    mu, eta, nu, zeta = (np.array(column) for column in list(zip(*rows))[:4])
+    s, t = (np.array(bits, dtype=np.int64) for bits in zip(*(row[4] for row in rows)))
+    np.testing.assert_array_max_ulp(_one_row_calls(kernel, mu, eta, nu, zeta, s, t),
+                                    kernel(mu, eta, nu, zeta, s, t), maxulp=2)
+
+
+@pytest.mark.parametrize("name", CLOSED_KERNELS)
+def test_one_row_lists_match_the_ndarray_path_on_edge_grid(name):
+    # poles, azimuth 2*pi and just below it, the plane boundaries, all four labels
+    kernel = getattr(_kernels, name)
+    grid = _edge_grid(EDGE_POLAR, EDGE_AZIMUTH)
+    np.testing.assert_array_max_ulp(_one_row_calls(kernel, *grid), kernel(*grid), maxulp=2)
+
+
+@pytest.mark.parametrize("name", CLOSED_KERNELS)
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_closed_kernels_return_n_by_4_arrays(name, n):
+    kernel = getattr(_kernels, name)
+    rng = np.random.default_rng(n)
+    arrays = (*_random_angles(rng, n), rng.integers(0, 2, n), rng.integers(0, 2, n))
+    for args in (arrays, [a.tolist() for a in arrays]):
+        out = kernel(*args)
+        assert isinstance(out, np.ndarray) and out.shape == (n, 4) and out.dtype == np.float64
 
 
 _IMPORT_PROBE = """

@@ -195,3 +195,8 @@ def test_normalize_azimuth_edge_cases():
 def test_classify_plane_rejects_nan_tolerance():
     with pytest.raises(ValueError, match="tolerance must be positive"):
         classify_plane(Observable(1.0, 1.0), math.nan)
+
+
+def test_classify_plane_rejects_infinite_tolerance():
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        classify_plane(Observable(1.0, 1.0), math.inf)
