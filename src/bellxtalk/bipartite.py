@@ -15,7 +15,8 @@ clamp. A single pair (joint_distribution_closed) calls the closed kernels
 directly on one-element lists, which they evaluate with math rather than
 numpy: the Observable and BellLabel constructors have validated its angles
 and bits, and JointDistribution checks and clamps the cells. The
-closed-variant cross-check runs on both routes.
+closed-variant cross-check runs on both routes, on the single pair's row as
+plain floats, and fails on a gap beyond CLOSED_VARIANT_TOL or a NaN.
 
 Each piece of two-qubit algebra is written once, in struct-of-arrays form
 with the row index last: the lifts A tensor I and I tensor B (lift_first,
@@ -93,22 +94,24 @@ class JointDistribution:
 
     Values are clamped to [0, 1] at construction; raw inputs may undershoot 0
     by ~1e-16 through cancellation in the closed forms. Anything outside the
-    1e-12 slack, or a total away from 1 by more than 1e-12, is rejected.
+    1e-12 slack (NaN and +-inf too), or a total off 1 by over 1e-12, is rejected.
     """
 
     p: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        values = tuple(float(x) for x in self.p)
+        values = tuple(map(float, self.p))
         if len(values) != 4:
             raise ValueError(f"expected 4 probabilities, got {len(values)}")
         for x in values:
-            if not math.isfinite(x) or x < -PROB_SLACK or x > 1.0 + PROB_SLACK:
+            if not -PROB_SLACK <= x <= 1.0 + PROB_SLACK:  # false for NaN and +-inf as well
                 raise ValueError(f"probability {x} lies outside [0, 1] beyond slack")
         total = sum(values)
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "p", tuple(min(1.0, max(0.0, x)) for x in values))
+        if min(values) <= 0.0 or max(values) > 1.0:  # zeros too, so that -0.0 is stored as 0.0
+            values = tuple(min(1.0, max(0.0, x)) for x in values)
+        object.__setattr__(self, "p", values)
 
     def probability(self, k: int, ell: int) -> float:
         if k not in (0, 1) or ell not in (0, 1):
@@ -212,13 +215,14 @@ def joint_distribution_closed(pair: ObservablePair, label: BellLabel) -> JointDi
     plain floats instead of numpy: Observable and BellLabel have already
     validated the angles and bits, and JointDistribution checks the range and
     the sum and clamps. The alternate half-angle closed form is evaluated as
-    well; a disagreement beyond CLOSED_VARIANT_TOL raises
+    well, and both rows are compared as plain floats; a disagreement beyond
+    CLOSED_VARIANT_TOL, or a NaN in either row, raises
     InternalConsistencyError instead of averaging.
     """
     row = _point_row(pair, label)
-    primary = _kernels.closed_joint(*row)
-    _require_variant_agreement(primary, _kernels.closed_joint_alt(*row))
-    return JointDistribution(tuple(primary[0].tolist()))
+    primary = _kernels.closed_joint(*row)[0].tolist()
+    _require_variant_agreement(primary, _kernels.closed_joint_alt(*row)[0].tolist())
+    return JointDistribution(primary)
 
 
 def marginals(dist: JointDistribution) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -367,8 +371,21 @@ def joint_bruteforce_batch(mu, eta, nu, zeta, psi) -> np.ndarray:
     return np.clip(_kernels.bruteforce_joint(mu, eta, nu, zeta, psi), 0.0, 1.0)
 
 
-def _require_variant_agreement(primary: np.ndarray, alternate: np.ndarray) -> None:
+def _require_variant_agreement(primary, alternate) -> None:
+    """Raise InternalConsistencyError if the closed variants differ beyond CLOSED_VARIANT_TOL or by NaN.
+
+    Takes two (n, 4) ndarrays, or two rows of plain floats, compared in Python
+    and, when they disagree, as one-row arrays. The row named is the first
+    NaN row, else the first worst one.
+    """
+    if not isinstance(primary, np.ndarray):
+        for x, y in zip(primary, alternate):
+            if not abs(x - y) <= CLOSED_VARIANT_TOL:
+                break
+        else:
+            return
+        primary, alternate = np.array([primary]), np.array([alternate])
     gap = np.abs(primary - alternate)
     worst = float(gap.max()) if gap.size else 0.0
-    if worst > CLOSED_VARIANT_TOL:
+    if not worst <= CLOSED_VARIANT_TOL:  # max and argmax propagate NaN
         raise InternalConsistencyError(worst, int(np.unravel_index(np.argmax(gap), gap.shape)[0]))

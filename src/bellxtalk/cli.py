@@ -73,6 +73,11 @@ def _parse_vary(text: str) -> tuple[str, np.ndarray]:
     return name, np.linspace(start, stop, steps)
 
 
+def _require_finite_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:  # also rejects NaN
+        raise ValueError("tolerance must be positive and finite")
+
+
 def _to_radians(value: float, use_degrees: bool) -> float:
     return math.radians(value) if use_degrees else float(value)
 
@@ -194,8 +199,7 @@ def cmd_sweep(args) -> int:
     the start of the grid. On stdout the header and the earlier blocks have
     been written by then; --out is left as it was.
     """
-    if not 0.0 < args.tol < math.inf:  # also rejects NaN
-        raise ValueError("tolerance must be positive and finite")
+    _require_finite_tol(args.tol)
     label = BellLabel(args.s, args.t)
     axes, total = _sweep_axes(args)
 
@@ -421,8 +425,7 @@ def _max_commutator_norm(mu, eta, nu, zeta) -> float:
 
 
 def cmd_verify(args) -> int:
-    if not 0.0 < args.tol < math.inf:  # also rejects NaN
-        raise ValueError("tolerance must be positive and finite")
+    _require_finite_tol(args.tol)
     result = run_verification(samples=args.samples, seed=args.seed)
     checks = [
         ("three-method max gap", result.max_method_gap),
@@ -489,6 +492,7 @@ def cmd_independence(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args) -> int:
+    _require_finite_tol(args.tol)  # before the draws, which may take seconds
     pair, label = _parse_point(args)
     dist = bipartite.joint_distribution_closed(pair, label)
     counts = sampler.sample(dist, args.n, args.seed)

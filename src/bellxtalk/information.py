@@ -43,7 +43,11 @@ def entropy_theta(theta: float) -> float:
 
 def shannon_entropy(dist: JointDistribution) -> float:
     """Entropy -sum p*ln(p) of the four-cell distribution, in nats."""
-    return sum((-x * math.log(x) for x in dist.p if x > 0.0), 0.0)
+    h = 0.0  # a loop, not sum(), which compensates from Python 3.12 on and would move the last bits
+    for x in dist.p:
+        if x > 0.0:
+            h -= x * math.log(x)
+    return h
 
 
 def mutual_information(dist: JointDistribution) -> float:
@@ -51,8 +55,11 @@ def mutual_information(dist: JointDistribution) -> float:
     p00, p01, p10, p11 = dist.p
     pa0, pa1 = p00 + p01, p10 + p11
     pb0, pb1 = p00 + p10, p01 + p11
-    cells = ((p00, pa0 * pb0), (p01, pa0 * pb1), (p10, pa1 * pb0), (p11, pa1 * pb1))
-    return max(sum((x * math.log(x / product) for x, product in cells if x > 0.0), 0.0), 0.0)
+    info = 0.0
+    for x, product in ((p00, pa0 * pb0), (p01, pa0 * pb1), (p10, pa1 * pb0), (p11, pa1 * pb1)):
+        if x > 0.0:
+            info += x * math.log(x / product)
+    return max(info, 0.0)
 
 
 def _degree(mutual_info: float) -> float:
@@ -71,7 +78,7 @@ def is_informationally_independent(dist: JointDistribution, tol: float = DEFAULT
     """True when the diagonal probability p00 equals 1/4 within tol."""
     if not 0.0 < tol < math.inf:  # also rejects NaN
         raise ValueError("tolerance must be positive and finite")
-    return abs(dist.probability(0, 0) - 0.25) <= tol
+    return abs(dist.p[0] - 0.25) <= tol
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ def report_from_distribution(dist: JointDistribution, tol: float = DEFAULT_INDEP
     """Assemble the crosstalk summary of an existing distribution."""
     mutual_info = mutual_information(dist)
     return CrosstalkReport(
-        theta=dist.probability(0, 0),
+        theta=dist.p[0],
         entropy=shannon_entropy(dist),
         mutual_info=mutual_info,
         degree=_degree(mutual_info),

@@ -157,14 +157,22 @@ class TestJointDistributionType:
     def test_clamps_numeric_undershoot(self):
         dist = JointDistribution((-1e-16, 0.5, 0.25, 0.25))
         assert dist.p[0] == 0.0
+        assert math.copysign(1.0, JointDistribution((-0.0, 0.5, 0.25, 0.25)).p[0]) == 1.0
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             JointDistribution((0.5, 0.5, 0.1, -0.1))
         with pytest.raises(ValueError):
             JointDistribution((0.3, 0.3, 0.3, 0.3))  # sums to 1.2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^probability nan lies outside"):
             JointDistribution((math.nan, 0.5, 0.25, 0.25))
+        for bad in (math.inf, -math.inf, 1.0 + 2e-12, -2e-12):
+            with pytest.raises(ValueError, match=f"^probability {bad} lies outside"):
+                JointDistribution((bad, 0.5, 0.25, 0.25))
+
+    def test_clamps_slight_overshoot_to_one(self):
+        dist = JointDistribution((1.0 + 5e-13, 0.0, 0.0, 0.0))
+        assert dist.p == (1.0, 0.0, 0.0, 0.0)
 
     def test_accessor(self):
         dist = JointDistribution((0.1, 0.2, 0.3, 0.4))
@@ -539,17 +547,23 @@ class TestInternalConsistency:
         shifted = good + 1e-12
         bipartite._require_variant_agreement(good, shifted)
 
-    def test_point_route_checks_every_call(self, monkeypatch):
+    @pytest.mark.parametrize("plant", [1e-9, math.nan], ids=["shift", "nan"])
+    def test_point_route_checks_every_call(self, monkeypatch, plant):
         alternate = bipartite._kernels.closed_joint_alt
 
         def shifted(*args):
             out = alternate(*args)
-            out[:, 0] += 1e-9
+            out[:, 0] += plant
             return out
 
         monkeypatch.setattr(bipartite._kernels, "closed_joint_alt", shifted)
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(InternalConsistencyError) as caught:
             joint_distribution_closed(pair_of(0.4, 1.3, 2.1, 5.0), BellLabel(1, 0))
+        assert caught.value.row == 0
+        if math.isnan(plant):
+            assert math.isnan(caught.value.gap)
+        else:
+            assert caught.value.gap == pytest.approx(plant, rel=1e-6)
 
 
 class TestBatchValidation:

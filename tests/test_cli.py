@@ -407,8 +407,8 @@ BLOCK = cli.SWEEP_BLOCK_ROWS
 
 
 #: `probs --method all` stdout, pinned byte for byte: a generic point, poles
-#: with azimuth 2*pi (printed as 0), and A = +y, B = -x, which lie on the
-#: boundaries between the coordinate planes
+#: with azimuth 2*pi (printed as 0), A = +y, B = -x, which lie on the
+#: boundaries between the coordinate planes, and a point that is clamped
 GOLDEN_PROBS = [
     (("--mu", "1.234", "--eta", "4.321", "--nu", "2.468", "--zeta", "0.987", "--s", "1", "--t", "0"), """\
 observable A: mu=1.234 eta=4.3209999999999997
@@ -461,10 +461,29 @@ degree      = 0
 independent = yes (tol 1.0000000000000001e-09)
 max pairwise method discrepancy = 5.551e-17
 """),
+    # one closed cell is -5.55e-17 before the clamp
+    (("--mu", "0.001599624906226557", "--eta", "0", "--nu", "0.001599624906226557", "--zeta", "0",
+      "--s", "0", "--t", "0"), """\
+observable A: mu=0.0015996249062265569 eta=0
+observable B: nu=0.0015996249062265569 zeta=0
+bell label:   s=0 t=0
+method:       closed
+joint probabilities p(k,l), rows k=0,1:
+  0.5                        0
+  0                          0.5
+marginals A:  0.5 0.5
+marginals B:  0.5 0.5
+theta       = 0.5
+entropy     = 0.69314718055994529 nats
+mutual_info = 0.69314718055994529 nats
+degree      = 1
+independent = no (tol 1.0000000000000001e-09)
+max pairwise method discrepancy = 2.220e-16
+"""),
 ]
 
 
-@pytest.mark.parametrize("point, expected", GOLDEN_PROBS, ids=["generic", "poles", "plane_boundaries"])
+@pytest.mark.parametrize("point, expected", GOLDEN_PROBS, ids=["generic", "poles", "plane_boundaries", "clamped"])
 def test_probs_output_is_pinned(capsys, point, expected):
     code, out, err = run_cli(capsys, "probs", *point, "--method", "all")
     assert (code, err) == (0, "")
@@ -673,14 +692,15 @@ class TestSweepWriter:
         assert out.read_bytes() == b"previous contents\n"
         assert os.listdir(tmp_path) == ["sweep.csv"]
 
-    def test_consistency_failure_in_a_late_block_names_the_grid_row(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("plant", [1e-9, math.nan], ids=["shift", "nan"])
+    def test_consistency_failure_in_a_late_block_names_the_grid_row(self, tmp_path, capsys, monkeypatch, plant):
         rows = 2 * BLOCK + 5
         bad_nu = np.linspace(0.0, 1.0, rows)[BLOCK + 3]
         alternate = bipartite._kernels.closed_joint_alt
 
         def shifted(mu, eta, nu, zeta, s, t):
             cells = alternate(mu, eta, nu, zeta, s, t)
-            cells[nu == bad_nu, 1] += 1e-9
+            cells[nu == bad_nu, 1] += plant
             return cells
 
         monkeypatch.setattr(bipartite._kernels, "closed_joint_alt", shifted)
@@ -716,6 +736,14 @@ def test_infinite_tolerance_is_usage_error(capsys, command, tol):
     assert code == 2
     assert out == ""
     assert err == "error: tolerance must be positive and finite\n"
+
+
+def test_sample_checks_its_tolerance_before_drawing(capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr(cli.sampler, "sample", lambda *args: draws.append(args))
+    code, out, err = run_cli(capsys, "sample", "--n", "300000000", "--tol", "inf")
+    assert (code, out, err) == (2, "", "error: tolerance must be positive and finite\n")
+    assert draws == []
 
 
 class TestUnwritableOut:
