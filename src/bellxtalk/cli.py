@@ -105,11 +105,10 @@ def _print_report(report, prefix: str = "") -> None:
 
 def cmd_probs(args) -> int:
     pair, label = _parse_point(args)
-    psi = bipartite.bell_state(label)
     methods = {
         "closed": lambda: bipartite.joint_distribution_closed(pair, label),
         "amplitude": lambda: bipartite.joint_distribution_amplitude(pair, label),
-        "brute": lambda: bipartite.joint_distribution_bruteforce(pair, psi),
+        "brute": lambda: bipartite.joint_distribution_bruteforce(pair, bipartite.bell_state(label)),
     }
     wanted = list(methods) if args.method == "all" else [args.method]
     dists = {name: methods[name]() for name in wanted}
@@ -220,7 +219,7 @@ def cmd_sweep(args) -> int:
                     raise InternalConsistencyError(exc.gap, start + exc.row) from None
                 entropy = information.shannon_entropy_rows(probs)
                 mutual = information.mutual_information_rows(probs)
-                degree = information.degree_rows(probs)
+                degree = information.degree_rows(mutual)
                 independent = (np.abs(probs[:, 0] - 0.25) <= args.tol).astype(int)
                 _write_sweep_rows(handle, label, grid, probs, entropy, mutual, degree, independent)
     except OSError as exc:  # name the path given, not _replacing's temp file
@@ -459,18 +458,13 @@ def cmd_independence(args) -> int:
     label = BellLabel(args.s, args.t)
     cond = independence.plane_condition(plane, label)
 
-    if plane is Plane.Z_ZERO:
-        lhs = "eta + zeta" if cond.condition_kind is independence.ConditionKind.SUM else "|eta - zeta|"
-        anchor_name, partner_name = "eta", "zeta"
-        anchor = args.eta
-        if args.mu is not None:
-            raise ValueError("plane z0 takes an --eta anchor, not --mu")
-    else:
-        lhs = "mu + nu" if cond.condition_kind is independence.ConditionKind.SUM else "|mu - nu|"
-        anchor_name, partner_name = "mu", "nu"
-        anchor = args.mu
-        if args.eta is not None:
-            raise ValueError(f"plane {args.plane} takes a --mu anchor, not --eta")
+    polar = plane is not Plane.Z_ZERO  # x0 and y0 pair the polar angles, z0 the azimuths
+    anchor_name, partner_name, article, wrong = ("mu", "nu", "a", "eta") if polar else ("eta", "zeta", "an", "mu")
+    if getattr(args, wrong) is not None:
+        raise ValueError(f"plane {args.plane} takes {article} --{anchor_name} anchor, not --{wrong}")
+    anchor = getattr(args, anchor_name)
+    lhs = (f"{anchor_name} + {partner_name}" if cond.condition_kind is independence.ConditionKind.SUM
+           else f"|{anchor_name} - {partner_name}|")
 
     if anchor is not None:  # a bad anchor raises here, before anything is printed
         anchor_rad = _to_radians(anchor, args.deg)
@@ -514,14 +508,13 @@ def cmd_sample(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_angle_args(parser: argparse.ArgumentParser, with_label: bool = True) -> None:
+def _add_angle_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=float, default=0.0, help="polar angle of observable A")
     parser.add_argument("--eta", type=float, default=0.0, help="azimuthal angle of observable A")
     parser.add_argument("--nu", type=float, default=0.0, help="polar angle of observable B")
     parser.add_argument("--zeta", type=float, default=0.0, help="azimuthal angle of observable B")
-    if with_label:
-        parser.add_argument("--s", type=int, choices=(0, 1), default=0, help="bell label bit s")
-        parser.add_argument("--t", type=int, choices=(0, 1), default=0, help="bell label bit t")
+    parser.add_argument("--s", type=int, choices=(0, 1), default=0, help="bell label bit s")
+    parser.add_argument("--t", type=int, choices=(0, 1), default=0, help="bell label bit t")
     parser.add_argument("--deg", action="store_true", help="interpret input angles as degrees")
 
 

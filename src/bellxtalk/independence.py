@@ -1,10 +1,19 @@
 """Zero-crosstalk angle conditions and a numeric independence solver.
 
-When both observables have Bloch directions in one coordinate plane, the
-condition theta = 1/4 collapses to the polar or azimuthal angles summing or
-differing by fixed targets. The predicates here encode those closed-form
-target sets; solve_independence locates the theta = 1/4 locus numerically
-for an arbitrary one-parameter family of pairs.
+A pair is independent exactly when c = a.S b = 0 (p00 = (1 + c)/4), where a and
+b are the Bloch vectors and S = diag(sigma_s, -sigma_s*sigma_t, sigma_t) with
+sigma_s = 1 - 2s, sigma_t = 1 - 2t: the correlation-matrix form of R. & M.
+Horodecki, PRA 54, 1838 (1996). With both directions in one coordinate plane, c
+is one cosine whose inner sign is S's entry on the plane's normal:
+
+- x=0 (eta = zeta = pi/2): c = sigma_t * cos(mu + sigma_s * nu)
+- y=0 (eta = zeta = 0):    c = sigma_t * cos(mu - sigma_s * sigma_t * nu)
+- z=0 (mu = nu = pi/2):    c = sigma_s * cos(eta + sigma_t * zeta)
+
+So c = 0 exactly when the angle sum (sign +1) or absolute difference (sign -1)
+is an odd multiple of pi/2 in its range, [0, 2*hi] or [0, hi], where hi is pi
+for the polar angles of x=0 and y=0 and 2*pi for the azimuths of z=0.
+solve_independence finds theta = 1/4 numerically along any path of pairs.
 """
 
 from __future__ import annotations
@@ -25,10 +34,20 @@ ROOT_THETA_TOL = 1e-10
 
 HALF_PI = 0.5 * math.pi
 
+#: every target, up to the largest: 7*pi/2, an azimuth sum on z=0
+_ODD_HALF_PIS = tuple((2 * k + 1) * HALF_PI for k in range(4))
+#: the coordinate planes, each at its normal's index into S's diagonal
+_PLANES = (Plane.X_ZERO, Plane.Y_ZERO, Plane.Z_ZERO)
+#: each plane's angle range hi in half turns: polar angles on x=0 and y=0, azimuths on z=0
+_HALF_TURNS = (1, 1, 2)
+
 
 class ConditionKind(Enum):
     SUM = "sum"
     ABS_DIFF = "abs_diff"
+
+
+_KINDS = (ConditionKind.ABS_DIFF, ConditionKind.SUM)  # by is_sum: cheaper than an Enum attribute lookup
 
 
 @dataclass(frozen=True)
@@ -54,29 +73,22 @@ class IndependenceRoot:
     bracket_width: float
 
 
+def _rule(plane: Plane, s: int, t: int) -> tuple[bool, tuple[float, ...], int]:
+    """Whether the plane's condition is on the angle sum (else the difference), its targets and half turns."""
+    try:
+        normal = _PLANES.index(plane)  # by identity: cheaper than hashing an Enum
+    except ValueError:
+        raise ValueError(f"no closed-form condition for plane {plane!r}") from None
+    sign_s, sign_t = 1 - 2 * s, 1 - 2 * t
+    is_sum = (sign_s, -sign_s * sign_t, sign_t)[normal] > 0  # the inner sign is S's entry on the normal
+    turns = _HALF_TURNS[normal]
+    return is_sum, _ODD_HALF_PIS[:2 * turns if is_sum else turns], turns
+
+
 def plane_condition(plane: Plane, label: BellLabel) -> PlaneCondition:
     """Target set for the given coordinate plane and Bell label."""
-    if plane is Plane.X_ZERO:
-        # depends only on s
-        if label.s == 0:
-            kind, targets = ConditionKind.SUM, (HALF_PI, 3.0 * HALF_PI)
-        else:
-            kind, targets = ConditionKind.ABS_DIFF, (HALF_PI,)
-    elif plane is Plane.Y_ZERO:
-        # sum condition when t != s, difference condition when t == s
-        if label.t != label.s:
-            kind, targets = ConditionKind.SUM, (HALF_PI, 3.0 * HALF_PI)
-        else:
-            kind, targets = ConditionKind.ABS_DIFF, (HALF_PI,)
-    elif plane is Plane.Z_ZERO:
-        # depends only on t; azimuthal angles range over [0, 2*pi)
-        if label.t == 0:
-            kind, targets = ConditionKind.SUM, (HALF_PI, 3.0 * HALF_PI, 5.0 * HALF_PI, 7.0 * HALF_PI)
-        else:
-            kind, targets = ConditionKind.ABS_DIFF, (HALF_PI, 3.0 * HALF_PI)
-    else:
-        raise ValueError(f"no closed-form condition for plane {plane!r}")
-    return PlaneCondition(plane=plane, label=label, condition_kind=kind, target_values=targets)
+    is_sum, targets, _ = _rule(plane, label.s, label.t)
+    return PlaneCondition(plane=plane, label=label, condition_kind=_KINDS[is_sum], target_values=targets)
 
 
 def _check_range(value: float, hi: float, name: str) -> float:
@@ -92,73 +104,50 @@ def _check_bit(value: int, name: str) -> int:
     return int(value)
 
 
-def _satisfied(kind: ConditionKind, targets: tuple[float, ...], first: float, second: float, tol: float) -> bool:
+def _holds(plane: Plane, first: tuple[str, float], second: tuple[str, float], tol: float, s=None, t=None) -> bool:
+    """The plane's predicate on two (name, angle) pairs; checks the angles, the bits given, then tol."""
+    hi = _HALF_TURNS[_PLANES.index(plane)] * math.pi
+    x, y = _check_range(first[1], hi, first[0]), _check_range(second[1], hi, second[0])
+    s = 0 if s is None else _check_bit(s, "s")
+    t = 0 if t is None else _check_bit(t, "t")
+    is_sum, targets, _ = _rule(plane, s, t)
     if not 0.0 < tol < math.inf:  # also rejects NaN
         raise ValueError("angle tolerance must be positive and finite")
-    value = first + second if kind is ConditionKind.SUM else abs(first - second)
+    value = x + y if is_sum else abs(x - y)
     return any(abs(value - target) <= tol for target in targets)
 
 
 def condition_x_plane(mu: float, nu: float, s: int, tol: float = DEFAULT_ANGLE_TOL) -> bool:
-    """Independence test for observables in the x=0 plane (eta = zeta = pi/2).
-
-    s=0: the polar angles must sum to pi/2 or 3*pi/2; s=1: they must differ
-    by pi/2. Holds for either t.
-    """
-    mu = _check_range(mu, math.pi, "mu")
-    nu = _check_range(nu, math.pi, "nu")
-    cond = plane_condition(Plane.X_ZERO, BellLabel(_check_bit(s, "s"), 0))
-    return _satisfied(cond.condition_kind, cond.target_values, mu, nu, tol)
+    """Independence test for polar angles in the x=0 plane (eta = zeta = pi/2); holds for either t."""
+    return _holds(Plane.X_ZERO, ("mu", mu), ("nu", nu), tol, s=s)
 
 
 def condition_y_plane(mu: float, nu: float, s: int, t: int, tol: float = DEFAULT_ANGLE_TOL) -> bool:
-    """Independence test for observables in the y=0 plane (eta = zeta = 0).
-
-    Sum condition {pi/2, 3*pi/2} when t differs from s, absolute difference
-    pi/2 when t equals s.
-    """
-    mu = _check_range(mu, math.pi, "mu")
-    nu = _check_range(nu, math.pi, "nu")
-    cond = plane_condition(Plane.Y_ZERO, BellLabel(_check_bit(s, "s"), _check_bit(t, "t")))
-    return _satisfied(cond.condition_kind, cond.target_values, mu, nu, tol)
+    """Independence test for polar angles in the y=0 plane (eta = zeta = 0)."""
+    return _holds(Plane.Y_ZERO, ("mu", mu), ("nu", nu), tol, s=s, t=t)
 
 
 def condition_z_plane(eta: float, zeta: float, t: int, tol: float = DEFAULT_ANGLE_TOL) -> bool:
-    """Independence test for observables in the z=0 plane (mu = nu = pi/2).
-
-    t=0: the azimuthal angles must sum to an odd multiple of pi/2 (up to
-    7*pi/2); t=1: they must differ by pi/2 or 3*pi/2. Holds for either s.
-    """
-    eta = _check_range(eta, TWO_PI, "eta")
-    zeta = _check_range(zeta, TWO_PI, "zeta")
-    cond = plane_condition(Plane.Z_ZERO, BellLabel(0, _check_bit(t, "t")))
-    return _satisfied(cond.condition_kind, cond.target_values, eta, zeta, tol)
+    """Independence test for azimuths in the z=0 plane (mu = nu = pi/2); holds for either s."""
+    return _holds(Plane.Z_ZERO, ("eta", eta), ("zeta", zeta), tol, t=t)
 
 
 def partner_angles(plane: Plane, label: BellLabel, anchor: float) -> tuple[float, ...]:
     """Explicit partner-angle solutions for a fixed anchor angle, within domain.
 
     For x=0 and y=0 the anchor and partner are polar angles in [0, pi]; for
-    z=0 they are azimuthal angles in [0, 2*pi).
+    z=0 they are azimuthal angles in [0, 2*pi). The targets lie pi apart, so
+    the partners do too.
     """
-    cond = plane_condition(plane, label)
-    hi = TWO_PI if plane is Plane.Z_ZERO else math.pi
+    is_sum, targets, turns = _rule(plane, label.s, label.t)
+    hi = turns * math.pi
     anchor = _check_range(anchor, hi, "anchor")
-    if cond.condition_kind is ConditionKind.SUM:
-        candidates = [target - anchor for target in cond.target_values]
+    if is_sum:
+        candidates = [target - anchor for target in targets]
     else:
-        candidates = [anchor + target for target in cond.target_values]
-        candidates += [anchor - target for target in cond.target_values]
-    in_domain = []
-    for value in candidates:
-        if plane is Plane.Z_ZERO:
-            if not 0.0 <= value < TWO_PI:
-                continue
-        elif not 0.0 <= value <= math.pi:
-            continue
-        if all(abs(value - kept) > 1e-12 for kept in in_domain):
-            in_domain.append(value)
-    return tuple(sorted(in_domain))
+        candidates = [anchor + target for target in targets] + [anchor - target for target in targets]
+    # the azimuth 2*pi is the azimuth 0, so z=0 leaves it out
+    return tuple(sorted(value for value in candidates if 0.0 <= value <= hi and value < TWO_PI))
 
 
 def check_consistency(

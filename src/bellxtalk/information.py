@@ -139,5 +139,6 @@ def mutual_information_rows(p: np.ndarray) -> np.ndarray:
     return np.maximum(terms.sum(axis=1), 0.0)
 
 
-def degree_rows(p: np.ndarray) -> np.ndarray:
-    return np.clip(mutual_information_rows(p) / LN2, 0.0, 1.0)
+def degree_rows(mutual_info: np.ndarray) -> np.ndarray:
+    """Each row's degree of dependence from its mutual_information_rows value."""
+    return np.clip(mutual_info / LN2, 0.0, 1.0)

@@ -497,7 +497,7 @@ def reference_sweep_csv(grid, s, t, tol):
     probs = bipartite.joint_closed_batch(mu, eta, nu, zeta, np.full(n, s), np.full(n, t))
     entropy = information.shannon_entropy_rows(probs)
     mutual = information.mutual_information_rows(probs)
-    degree = information.degree_rows(probs)
+    degree = information.degree_rows(mutual)
     lines = [CSV_HEADER]
     for i in range(n):
         angles = [format(float(x[i]), ".17g") for x in (mu, eta, nu, zeta)]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellxtalk import bipartite
 from bellxtalk.bipartite import BellLabel, ObservablePair, joint_closed_batch
@@ -21,28 +23,30 @@ PI = math.pi
 HALF_PI = PI / 2
 
 
+SUM, DIFF = ConditionKind.SUM, ConditionKind.ABS_DIFF
+POLAR_SUM, POLAR_DIFF = (SUM, (HALF_PI, 3.0 * HALF_PI)), (DIFF, (HALF_PI,))
+AZIMUTH_SUM = (SUM, (HALF_PI, 3.0 * HALF_PI, 5.0 * HALF_PI, 7.0 * HALF_PI))
+AZIMUTH_DIFF = (DIFF, (HALF_PI, 3.0 * HALF_PI))
+
+#: the conditions as tabulated by hand, the oracle for the sign rule: x=0 depends
+#: on s only, z=0 on t only, and y=0 is a sum exactly when s != t
+PLANE_TABLE = [
+    (Plane.X_ZERO, 0, 0, POLAR_SUM), (Plane.X_ZERO, 0, 1, POLAR_SUM),
+    (Plane.X_ZERO, 1, 0, POLAR_DIFF), (Plane.X_ZERO, 1, 1, POLAR_DIFF),
+    (Plane.Y_ZERO, 0, 0, POLAR_DIFF), (Plane.Y_ZERO, 0, 1, POLAR_SUM),
+    (Plane.Y_ZERO, 1, 0, POLAR_SUM), (Plane.Y_ZERO, 1, 1, POLAR_DIFF),
+    (Plane.Z_ZERO, 0, 0, AZIMUTH_SUM), (Plane.Z_ZERO, 0, 1, AZIMUTH_DIFF),
+    (Plane.Z_ZERO, 1, 0, AZIMUTH_SUM), (Plane.Z_ZERO, 1, 1, AZIMUTH_DIFF),
+]
+
+
 class TestPlaneConditionTable:
-    def test_x_plane(self):
-        cond = plane_condition(Plane.X_ZERO, BellLabel(0, 1))
-        assert cond.condition_kind is ConditionKind.SUM
-        assert cond.target_values == (HALF_PI, 3 * HALF_PI)
-        cond = plane_condition(Plane.X_ZERO, BellLabel(1, 0))
-        assert cond.condition_kind is ConditionKind.ABS_DIFF
-        assert cond.target_values == (HALF_PI,)
-
-    def test_y_plane(self):
-        assert plane_condition(Plane.Y_ZERO, BellLabel(0, 1)).condition_kind is ConditionKind.SUM
-        assert plane_condition(Plane.Y_ZERO, BellLabel(1, 0)).condition_kind is ConditionKind.SUM
-        assert plane_condition(Plane.Y_ZERO, BellLabel(0, 0)).condition_kind is ConditionKind.ABS_DIFF
-        assert plane_condition(Plane.Y_ZERO, BellLabel(1, 1)).condition_kind is ConditionKind.ABS_DIFF
-
-    def test_z_plane(self):
-        cond = plane_condition(Plane.Z_ZERO, BellLabel(1, 0))
-        assert cond.condition_kind is ConditionKind.SUM
-        assert cond.target_values == (HALF_PI, 3 * HALF_PI, 5 * HALF_PI, 7 * HALF_PI)
-        cond = plane_condition(Plane.Z_ZERO, BellLabel(0, 1))
-        assert cond.condition_kind is ConditionKind.ABS_DIFF
-        assert cond.target_values == (HALF_PI, 3 * HALF_PI)
+    @pytest.mark.parametrize("plane, s, t, expected", PLANE_TABLE,
+                             ids=[f"{row[0].name}-{row[1]}{row[2]}" for row in PLANE_TABLE])
+    def test_kind_and_exact_targets(self, plane, s, t, expected):
+        cond = plane_condition(plane, BellLabel(s, t))
+        assert (cond.plane, cond.label) == (plane, BellLabel(s, t))
+        assert (cond.condition_kind, cond.target_values) == expected
 
     def test_generic_rejected(self):
         with pytest.raises(ValueError):
@@ -108,6 +112,28 @@ class TestPartnerAngles:
     def test_anchor_domain(self):
         with pytest.raises(ValueError):
             partner_angles(Plane.X_ZERO, BellLabel(0, 0), PI + 0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), row=st.sampled_from(PLANE_TABLE))
+    def test_partners_are_independent(self, data, row):
+        plane, s, t, _ = row
+        hi = 2 * PI if plane is Plane.Z_ZERO else PI
+        edges = [0.0, math.ulp(0.0), PI / 4, HALF_PI, PI, 1.5 * PI, math.nextafter(hi, 0.0), hi]
+        anchor = data.draw(st.sampled_from([a for a in edges if a <= hi]) | st.floats(0.0, hi))
+        partners = partner_angles(plane, BellLabel(s, t), anchor)
+        assert list(partners) == sorted(set(partners))
+        assert all(0.0 <= p <= hi and p != 2 * PI for p in partners)
+        for partner in partners:
+            if plane is Plane.Z_ZERO:
+                angles, holds = (HALF_PI, anchor, HALF_PI, partner), condition_z_plane(anchor, partner, t)
+            else:
+                azimuth = HALF_PI if plane is Plane.X_ZERO else 0.0
+                angles = (anchor, azimuth, partner, azimuth)
+                holds = (condition_x_plane(anchor, partner, s) if plane is Plane.X_ZERO
+                         else condition_y_plane(anchor, partner, s, t))
+            theta = joint_closed_batch(*(np.array([x]) for x in angles), np.array([s]), np.array([t]))[0, 0]
+            assert abs(theta - 0.25) <= 1e-15, (anchor, partner)
+            assert holds, (anchor, partner)
 
 
 def _grid_iff_check(plane, label, points):

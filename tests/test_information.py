@@ -193,7 +193,7 @@ class TestRowHelpers:
         rows = np.vstack([rng.dirichlet(np.ones(4), size=64), zero_cells])
         entropies = shannon_entropy_rows(rows)
         infos = mutual_information_rows(rows)
-        degrees = degree_rows(rows)
+        degrees = degree_rows(infos)
         for i in range(rows.shape[0]):
             dist = JointDistribution(tuple(rows[i]))
             assert entropies[i] == pytest.approx(shannon_entropy(dist), abs=1e-14)
