@@ -5,17 +5,22 @@ Run from the repository root:
     PYTHONPATH=src python tests/make_golden.py
 
 Each case is one ``bellxtalk`` command line, run in-process. The file maps the
-command line to its [exit code, stdout, stderr], except for two kinds:
+command line to its [exit code, stdout, stderr], except for these kinds:
 
-- a sweep's stdout is stored as the sha256 of its CSV;
+- the stdout of a sweep, and of a verify run at 10k samples, is stored as
+  its sha256 (hashed_cases);
 - the anchored ``independence`` runs of one plane and label are stored under
   the key of the unanchored run plus " <anchors>", as a list of what each run
   prints after the unanchored run's stdout, in the order of _anchor_flags.
   Each such run must exit 0 with nothing on stderr.
 
-One more key holds the sha256 of library_text: ``plane_condition``,
-``partner_angles`` and the three plane predicates over edge grids.
-Rebuild the file only when an output is meant to change.
+Three more keys each hold one sha256: LIBRARY_KEY of library_text
+(``plane_condition``, ``partner_angles`` and the three plane predicates over
+edge grids), PROBS_KEY of probs_text (``probs --method all`` over an edge
+grid) and REPORT_KEY of report_text (``crosstalk_report`` as ``float.hex`` on
+fixed points). SAMPLE_KEY holds the sha256 of sample_text, the stdout of
+``sample`` at pinned seeds. Rebuild the file only when an output is meant to
+change.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ import io
 import json
 import math
 import os
+import random
 
-from bellxtalk.bipartite import BellLabel
-from bellxtalk.cli import main
+from bellxtalk.bipartite import BellLabel, ObservablePair
+from bellxtalk.cli import build_parser, main
 from bellxtalk.independence import (
     condition_x_plane,
     condition_y_plane,
@@ -36,13 +42,20 @@ from bellxtalk.independence import (
     partner_angles,
     plane_condition,
 )
-from bellxtalk.observables import Plane
+from bellxtalk.information import crosstalk_report
+from bellxtalk.observables import Observable, Plane
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
 PI = math.pi
 LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 LIBRARY_KEY = "independence library sha256"
+PROBS_KEY = "probs --method all edge grid sha256"
+REPORT_KEY = "crosstalk_report float.hex sha256"
+SAMPLE_KEY = "sample stdout sha256"
+#: the poles, the plane boundaries and the closed end 2*pi
+EDGE_POLAR = (0.0, PI / 2, PI)
+EDGE_AZIMUTH = (0.0, PI / 2, PI, 2 * PI)
 
 
 def _anchor_flags(plane: str) -> list[tuple[str, ...]]:
@@ -107,7 +120,19 @@ def sweep_cases() -> list[tuple[str, ...]]:
          "--s", "1", "--t", "1"),
         # one row at the edges
         ("sweep", "--mu", pi, "--eta", two_pi, "--nu", "0", "--zeta", pi, "--s", "0", "--t", "1"),
+        # two axes, 3 x 2731 = 8193 rows: two blocks and a row
+        ("sweep", "--vary", f"nu=0:{pi}:3", "--vary", f"zeta=0:{two_pi}:2731", "--mu", "0.75",
+         "--eta", "2.5", "--s", "0", "--t", "1"),
     ]
+
+
+def long_verify_cases() -> list[tuple[str, ...]]:
+    return [("verify", "--samples", "10000", "--seed", seed) for seed in ("0", "5")]
+
+
+def hashed_cases() -> list[tuple[str, ...]]:
+    """The cases whose stdout is stored as its sha256."""
+    return sweep_cases() + long_verify_cases()
 
 
 def verify_cases() -> list[tuple[str, ...]]:
@@ -141,6 +166,63 @@ def library_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def probs_text() -> str:
+    """stdout of ``probs --method all`` over the edge grid and the four labels, parsed by one parser."""
+    parser = build_parser()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for mu in EDGE_POLAR:
+            for eta in EDGE_AZIMUTH:
+                for nu in EDGE_POLAR:
+                    for zeta in EDGE_AZIMUTH:
+                        for s, t in LABELS:
+                            args = parser.parse_args([
+                                "probs", "--method", "all", "--mu", repr(mu), "--eta", repr(eta),
+                                "--nu", repr(nu), "--zeta", repr(zeta), "--s", str(s), "--t", str(t)])
+                            assert args.func(args) == 0
+    return out.getvalue()
+
+
+def report_points() -> list[tuple[float, float, float, float]]:
+    """2000 points drawn by a seeded random.Random, then the edge grid."""
+    rng = random.Random(11903)
+    points = [(rng.uniform(0.0, PI), rng.uniform(0.0, 2 * PI), rng.uniform(0.0, PI), rng.uniform(0.0, 2 * PI))
+              for _ in range(2000)]
+    return points + [(mu, eta, nu, zeta) for mu in EDGE_POLAR for eta in EDGE_AZIMUTH
+                     for nu in EDGE_POLAR for zeta in EDGE_AZIMUTH]
+
+
+def report_text() -> str:
+    """Every field of crosstalk_report, floats as float.hex, at each point and label; one line each."""
+    lines = []
+    for mu, eta, nu, zeta in report_points():
+        pair = ObservablePair(Observable(mu, eta), Observable(nu, zeta))
+        for s, t in LABELS:
+            r = crosstalk_report(pair, BellLabel(s, t))
+            lines.append(" ".join([*(x.hex() for x in (r.theta, r.entropy, r.mutual_info, r.degree)),
+                                   str(r.independent), r.tolerance.hex()]))
+    return "\n".join(lines) + "\n"
+
+
+def sample_cases() -> list[tuple[str, ...]]:
+    """``sample`` at pinned seeds, on points with no zero cell."""
+    points = (("--mu", "1.234", "--eta", "4.321", "--nu", "2.468", "--zeta", "0.987", "--s", "1", "--t", "0"),
+              ("--mu", "0.3", "--eta", "0", "--nu", "2.9", "--zeta", "6.1", "--s", "0", "--t", "1"),
+              ("--mu", "90", "--eta", "45", "--nu", "60", "--zeta", "300", "--s", "1", "--t", "1", "--deg"))
+    seeds = ("0", "7", str(2**64 - 1))
+    return [("sample", *point, "--n", n, "--seed", seed)
+            for point in points for seed in seeds for n in ("1", "100000")]
+
+
+def sample_text() -> str:
+    """[exit code, stdout, stderr] of every sample case, one JSON line each."""
+    return "".join(json.dumps(run(argv)) + "\n" for argv in sample_cases())
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run(argv: tuple[str, ...]) -> list:
     """[exit code, stdout, stderr] of one command line, run in-process."""
     out, err = io.StringIO(), io.StringIO()
@@ -153,9 +235,9 @@ def key(argv: tuple[str, ...]) -> str:
     return " ".join(argv)
 
 
-def sweep_record(argv: tuple[str, ...]) -> list:
+def hashed_record(argv: tuple[str, ...]) -> list:
     code, out, err = run(argv)
-    return [code, hashlib.sha256(out.encode()).hexdigest(), err]
+    return [code, sha256(out), err]
 
 
 def build() -> dict:
@@ -169,9 +251,12 @@ def build() -> dict:
             tails.append(out[len(header[1]):])
         golden[anchored_key(group)] = tails
     golden.update((key(argv), run(argv)) for argv in error_cases())
-    golden.update((key(argv), sweep_record(argv)) for argv in sweep_cases())
+    golden.update((key(argv), hashed_record(argv)) for argv in hashed_cases())
     golden.update((key(argv), run(argv)) for argv in verify_cases())
-    golden[LIBRARY_KEY] = hashlib.sha256(library_text().encode()).hexdigest()
+    golden[LIBRARY_KEY] = sha256(library_text())
+    golden[PROBS_KEY] = sha256(probs_text())
+    golden[REPORT_KEY] = sha256(report_text())
+    golden[SAMPLE_KEY] = sha256(sample_text())
     return golden
 
 
