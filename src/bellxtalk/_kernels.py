@@ -3,7 +3,7 @@
 Each kernel is defined as ``<name>_numpy`` and exported under the plain name
 (``closed_joint``, ``closed_joint_alt``, ``amplitude_joint``,
 ``bruteforce_joint``, ``sample_counts``), which callers look up through this
-module. Importing allocates no arrays.
+module.
 
 ``closed_joint`` is the production path: the correlation form (1 +- c)/4
 with c = a.S b, where a and b are the Bloch vectors and S is the diagonal
@@ -22,31 +22,31 @@ length, s/t are int64 arrays of that length, psi is complex128 with shape
 (n, 4). Probability outputs have shape (n, 4) in the fixed cell order
 (0,0),(0,1),(1,0),(1,1) and are not clamped.
 
-The two closed kernels also take plain sequences of floats and 0/1 ints,
-which the one-pair route passes as one-element lists. They choose by the
-type of mu: an ndarray goes through numpy, anything else row by row through
-math on plain floats, and either way the result is an (n, 4) float64
-ndarray. Each kernel's cells are written once, in a helper that takes sin,
-cos and, for the alternate form, where as arguments. On one row, numpy's
+The two closed kernels also take lists of floats and 0/1 ints, which the
+one-pair route passes as one-element lists. They choose by the type of mu: a
+list goes row by row through math on plain floats and gives a list of n
+tuples of 4 floats, anything else goes through numpy and gives an (n, 4)
+float64 ndarray. Each kernel's cells are written once, in a helper that takes
+sin, cos and, for the alternate form, where as arguments. On one row, numpy's
 per-call dispatch (about 35 ufunc calls and two np.stack calls around about
 1 us of arithmetic) made closed_joint take about 18 us and closed_joint_alt
 about 30 us; through math each takes about 3.5-4.5 us, of which about 1 us
-is arithmetic and the rest the call, the row loop and building the (1, 4)
-array (2 vCPUs, Python 3.11.7, numpy 2.4.6).
+is arithmetic and the rest the call and the row loop (2 vCPUs, Python
+3.11.7, numpy 2.4.6). The list route never imports numpy, so neither does a
+one-pair query.
+
+Every function that builds arrays imports numpy itself, and the splitmix64
+constants are plain ints, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 # splitmix64 constants; draw i uses the mix of seed + (i+1)*GAMMA (mod 2^64)
-_GAMMA_INT = 0x9E3779B97F4A7C15
-_GAMMA = np.uint64(_GAMMA_INT)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _U64_MAX = 2**64 - 1
 
 #: draws mixed per chunk; the numpy sampler's three 512 KB uint64 buffers stay in L2
@@ -88,28 +88,28 @@ def _pick(condition, if_true, if_false):
     return if_true if condition else if_false
 
 
-def _rows(cells) -> np.ndarray:
-    """Per-row cell tuples as an (n, 4) float64 array, n = 0 included."""
-    out = np.array(cells, dtype=np.float64)
-    return out if out.ndim == 2 else out.reshape(0, 4)
-
-
 def closed_joint_numpy(mu, eta, nu, zeta, s, t):
     """Joint probabilities (1 +- c)/4 from the correlation c = a.S b of the Bloch vectors."""
-    if isinstance(mu, np.ndarray):
-        return np.stack(_closed_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos), axis=1)
-    return _rows([_closed_cells(*row, math.sin, math.cos) for row in zip(mu, eta, nu, zeta, s, t)])
+    if isinstance(mu, list):
+        return [_closed_cells(*row, math.sin, math.cos) for row in zip(mu, eta, nu, zeta, s, t)]
+    import numpy as np
+
+    return np.stack(_closed_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos), axis=1)
 
 
 def closed_joint_alt_numpy(mu, eta, nu, zeta, s, t):
     """Closed forms in the half-angle sums; the every-call cross-check of closed_joint."""
-    if isinstance(mu, np.ndarray):
-        return np.stack(_closed_alt_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos, np.where), axis=1)
-    return _rows([_closed_alt_cells(*row, math.sin, math.cos, _pick) for row in zip(mu, eta, nu, zeta, s, t)])
+    if isinstance(mu, list):
+        return [_closed_alt_cells(*row, math.sin, math.cos, _pick) for row in zip(mu, eta, nu, zeta, s, t)]
+    import numpy as np
+
+    return np.stack(_closed_alt_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos, np.where), axis=1)
 
 
 def amplitude_joint_numpy(mu, eta, nu, zeta, s, t):
     """Joint probabilities from the two-term interference amplitudes."""
+    import numpy as np
+
     cm, sm = np.cos(0.5 * mu), np.sin(0.5 * mu)
     cn, sn = np.cos(0.5 * nu), np.sin(0.5 * nu)
     tr_m = (cm, sm)
@@ -135,6 +135,8 @@ def amplitude_joint_numpy(mu, eta, nu, zeta, s, t):
 
 def _conjugate_frame(polar, azimuth):
     """conj(u[k, a]) of the eigenvector frame u_0 = (e^-i*phi c, s), u_1 = (-e^-i*phi s, c); shape (2, 2, n)."""
+    import numpy as np
+
     c, sn = np.cos(0.5 * polar), np.sin(0.5 * polar)
     phase = np.exp(1j * azimuth)
     frame = np.empty((2, 2, polar.shape[0]), dtype=np.complex128)
@@ -182,10 +184,14 @@ def sample_counts_numpy(cdf, n, seed):
     entry (see _draw_bound), so no draw is converted to float. Mixing runs in
     place in buffers allocated once per call and sized to stay in cache.
     """
+    import numpy as np
+
+    gamma, mix1, mix2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+    shift30, shift27, shift31 = np.uint64(30), np.uint64(27), np.uint64(31)
     bounds = [_draw_bound(float(c)) for c in cdf[:3]]
     size = min(n, _SAMPLE_CHUNK)
     steps = np.arange(1, size + 1, dtype=np.uint64)
-    steps *= _GAMMA  # steps[j] = (j+1)*GAMMA; chunk start adds start*GAMMA
+    steps *= gamma  # steps[j] = (j+1)*GAMMA; chunk start adds start*GAMMA
     z_buf = np.empty(size, dtype=np.uint64)
     tmp_buf = np.empty(size, dtype=np.uint64)
     hit_buf = np.empty(size, dtype=bool)
@@ -193,14 +199,14 @@ def sample_counts_numpy(cdf, n, seed):
     for start in range(0, n, size):
         m = min(size, n - start)
         z, tmp, hit = z_buf[:m], tmp_buf[:m], hit_buf[:m]
-        np.add(steps[:m], np.uint64((int(seed) + start * _GAMMA_INT) & _U64_MAX), out=z)
-        np.right_shift(z, _SHIFT30, out=tmp)
+        np.add(steps[:m], np.uint64((int(seed) + start * _GAMMA) & _U64_MAX), out=z)
+        np.right_shift(z, shift30, out=tmp)
         z ^= tmp
-        z *= _MIX1
-        np.right_shift(z, _SHIFT27, out=tmp)
+        z *= mix1
+        np.right_shift(z, shift27, out=tmp)
         z ^= tmp
-        z *= _MIX2
-        np.right_shift(z, _SHIFT31, out=tmp)
+        z *= mix2
+        np.right_shift(z, shift31, out=tmp)
         z ^= tmp
         for k, bound in enumerate(bounds):
             if bound == _U64_MAX:

@@ -24,7 +24,11 @@ lift_second, on a 2x2 operator or a (2, 2, n) stack), the lifted commutator
 norms (commutator_norms) and the brute-force kernel. The one-pair functions
 (commutator_norm, joint_distribution_bruteforce, bell_state) are one-row
 calls of them. commutator_norms lifts the four matrix units once per call
-and expands each row's commutator in their 16 commutators.
+and expands each row's commutator in their 16 commutators; when all 16 are
+zero, as with correct lifts, every finite row's norm is zero.
+
+A single pair through joint_distribution_closed never imports numpy; every
+function that builds arrays imports it itself.
 """
 
 from __future__ import annotations
@@ -32,10 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
-from .observables import IDENTITY2, TWO_PI, Observable, eigenvector, matrices
+from . import _kernels, observables
+from .observables import TWO_PI, Observable, eigenvector, matrices
 
 #: fixed cell order for joint outcomes (k, l); all arrays and CSV output use it
 INDEX_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -119,6 +121,8 @@ class JointDistribution:
         return self.p[2 * k + ell]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.p)
 
 
@@ -139,6 +143,8 @@ def bell_state(label: BellLabel) -> np.ndarray:
 
 def bell_state_batch(s, t) -> np.ndarray:
     """Stacked Bell states for bit arrays s, t; shape (n, 4)."""
+    import numpy as np
+
     s = np.asarray(s, dtype=np.int64)
     t = np.asarray(t, dtype=np.int64)
     n = s.shape[0]
@@ -152,6 +158,8 @@ def bell_state_batch(s, t) -> np.ndarray:
 
 def _operator(m) -> np.ndarray:
     """m as complex128, checked to be a finite 2x2 matrix or a (2, 2, n) stack."""
+    import numpy as np
+
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[:2] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix or a (2, 2, n) stack, got shape {m.shape}")
@@ -165,8 +173,10 @@ def lift_first(a) -> np.ndarray:
 
     A (2, 2, n) stack is lifted row by row into a (4, 4, n) stack.
     """
+    import numpy as np
+
     a = _operator(a)
-    return np.einsum("ij...,kl->ikjl...", a, IDENTITY2).reshape((4, 4) + a.shape[2:])
+    return np.einsum("ij...,kl->ikjl...", a, observables.IDENTITY2).reshape((4, 4) + a.shape[2:])
 
 
 def lift_second(b) -> np.ndarray:
@@ -174,12 +184,16 @@ def lift_second(b) -> np.ndarray:
 
     A (2, 2, n) stack is lifted row by row into a (4, 4, n) stack.
     """
+    import numpy as np
+
     b = _operator(b)
-    return np.einsum("ij,kl...->ikjl...", IDENTITY2, b).reshape((4, 4) + b.shape[2:])
+    return np.einsum("ij,kl...->ikjl...", observables.IDENTITY2, b).reshape((4, 4) + b.shape[2:])
 
 
 def outcome_frame(pair: ObservablePair) -> OutcomeFrame:
     """Orthonormal frame of common eigenvectors of both lifted observables."""
+    import numpy as np
+
     rows = [np.kron(eigenvector(pair.a, k), eigenvector(pair.b, ell)) for k, ell in INDEX_ORDER]
     return OutcomeFrame(vectors=np.array(rows))
 
@@ -190,6 +204,8 @@ def joint_distribution_bruteforce(pair: ObservablePair, psi) -> JointDistributio
     Reference oracle for the amplitude and closed-form routes: one row of the
     brute-force kernel, on the pair's angles and psi.
     """
+    import numpy as np
+
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (4,):
         raise ValueError(f"psi must be a vector of length 4, got shape {psi.shape}")
@@ -217,12 +233,14 @@ def joint_distribution_closed(pair: ObservablePair, label: BellLabel) -> JointDi
     the sum and clamps. The alternate half-angle closed form is evaluated as
     well, and both rows are compared as plain floats; a disagreement beyond
     CLOSED_VARIANT_TOL, or a NaN in either row, raises
-    InternalConsistencyError instead of averaging.
+    InternalConsistencyError instead of averaging. The kernels give a list of
+    one row for the lists, and row 0 is taken as it comes: a tuple of floats,
+    or an ndarray row from a kernel that returns an (n, 4) array.
     """
     row = _point_row(pair, label)
-    primary = _kernels.closed_joint(*row)[0].tolist()
-    _require_variant_agreement(primary, _kernels.closed_joint_alt(*row)[0].tolist())
-    return JointDistribution(primary)
+    primary = _kernels.closed_joint(*row)
+    _require_variant_agreement(primary, _kernels.closed_joint_alt(*row))
+    return JointDistribution(primary[0])
 
 
 def marginals(dist: JointDistribution) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -250,13 +268,20 @@ def commutator_norms(mu, eta, nu, zeta) -> np.ndarray:
     The lifts are linear (a test checks this) and the matrix units E_pq span
     every 2x2 operator, so a row's commutator is the sum of A_pq B_rs times
     [lift_first(E_pq), lift_second(E_rs)]. Those 16 are built once per call;
-    a tile of rows is then one (16, 16) @ (16, tile) product. Angles are 1-d
-    float arrays of one length and are not validated.
+    a tile of rows is then one (16, 16) @ (16, tile) product. When all 16 are
+    zero, as with correct lifts, each row with finite angles has norm zero and
+    the tiles are skipped; a nonzero entry, or a non-finite angle, whose row
+    norm is NaN, takes the tiles. Angles are 1-d float arrays of one length
+    and are not validated.
     """
+    import numpy as np
+
     units = np.eye(4, dtype=np.complex128).reshape(2, 2, 4)  # E_pq at 2p + q
     lift_a = lift_first(np.repeat(units, 4, axis=2))  # column 4i + j pairs E_i with E_j
     lift_b = lift_second(np.tile(units, 4))
     basis = (_matmul_rows_last(lift_a, lift_b) - _matmul_rows_last(lift_b, lift_a)).reshape(16, 16)
+    if not basis.any() and all(np.isfinite(angle).all() for angle in (mu, eta, nu, zeta)):
+        return np.zeros(len(mu))
     norms = np.empty(len(mu))
     for start in range(0, len(mu), COMMUTATOR_TILE_ROWS):
         tile = slice(start, start + COMMUTATOR_TILE_ROWS)
@@ -287,6 +312,8 @@ def has_equal_marginals(dist: JointDistribution, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 def _angle_arrays(pair: ObservablePair):
+    import numpy as np
+
     return np.array([pair.a.mu]), np.array([pair.a.eta]), np.array([pair.b.mu]), np.array([pair.b.eta])
 
 
@@ -302,6 +329,8 @@ _ANGLE_BOUNDS = {"mu": math.pi, "eta": TWO_PI, "nu": math.pi, "zeta": TWO_PI}
 
 def validated_angle(name: str, values) -> np.ndarray:
     """values as a contiguous 1-d float64 array, checked to be finite and in name's domain."""
+    import numpy as np
+
     hi = _ANGLE_BOUNDS[name]
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -322,6 +351,8 @@ def _validated_angles(mu, eta, nu, zeta):
 
 
 def _validated_bits(values, n: int, name: str) -> np.ndarray:
+    import numpy as np
+
     arr = np.ascontiguousarray(values, dtype=np.int64)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a 1-d array of length {n}")
@@ -342,6 +373,8 @@ def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.nda
     With check=True the alternate half-angle closed form is evaluated as well
     and compared.
     """
+    import numpy as np
+
     mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
     primary = _kernels.closed_joint(mu, eta, nu, zeta, s, t)
     if check:
@@ -352,18 +385,24 @@ def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.nda
 
 def joint_closed_alt_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
     """Half-angle closed-form probabilities; shape (n, 4), clamped to [0, 1]."""
+    import numpy as np
+
     mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
     return np.clip(_kernels.closed_joint_alt(mu, eta, nu, zeta, s, t), 0.0, 1.0)
 
 
 def joint_amplitude_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
     """Amplitude-formula probabilities; shape (n, 4), clamped to [0, 1]."""
+    import numpy as np
+
     mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
     return np.clip(_kernels.amplitude_joint(mu, eta, nu, zeta, s, t), 0.0, 1.0)
 
 
 def joint_bruteforce_batch(mu, eta, nu, zeta, psi) -> np.ndarray:
     """Born-rule probabilities against states psi (n, 4); clamped to [0, 1]."""
+    import numpy as np
+
     mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
     if psi.shape != (mu.shape[0], 4):
@@ -374,18 +413,17 @@ def joint_bruteforce_batch(mu, eta, nu, zeta, psi) -> np.ndarray:
 def _require_variant_agreement(primary, alternate) -> None:
     """Raise InternalConsistencyError if the closed variants differ beyond CLOSED_VARIANT_TOL or by NaN.
 
-    Takes two (n, 4) ndarrays, or two rows of plain floats, compared in Python
-    and, when they disagree, as one-row arrays. The row named is the first
-    NaN row, else the first worst one.
+    Takes two (n, 4) ndarrays, or the kernels' answer to lists: lists of rows
+    of plain floats, compared in Python, and with numpy only when they
+    disagree. The row named is the first NaN row, else the first worst one.
     """
-    if not isinstance(primary, np.ndarray):
-        for x, y in zip(primary, alternate):
-            if not abs(x - y) <= CLOSED_VARIANT_TOL:
-                break
-        else:
-            return
-        primary, alternate = np.array([primary]), np.array([alternate])
-    gap = np.abs(primary - alternate)
+    if isinstance(primary, list) and all(
+        [abs(x - y) <= CLOSED_VARIANT_TOL for rows in zip(primary, alternate) for x, y in zip(*rows)]
+    ):
+        return
+    import numpy as np
+
+    gap = np.abs(np.subtract(primary, alternate))
     worst = float(gap.max()) if gap.size else 0.0
     if not worst <= CLOSED_VARIANT_TOL:  # max and argmax propagate NaN
         raise InternalConsistencyError(worst, int(np.unravel_index(np.argmax(gap), gap.shape)[0]))

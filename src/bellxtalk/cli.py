@@ -9,8 +9,14 @@ The algebra lives in the library: sweep and verify call the batch routes
 (verify also bipartite.commutator_norms, which tiles each block itself) one
 block of rows at a time, so neither holds more than one block. The sweep
 CSV's text is exactly ``"%.17g" %`` of each float; _text makes it one numpy
-pass per column of a block and is loaded by the first block written, not by
-importing this module.
+pass per column of a block.
+
+Importing this module loads the stdlib modules it needs and bipartite,
+information, observables and _kernels, but not numpy. Each command imports
+the rest itself: numpy in every function that builds arrays (probs only for
+--method amplitude, brute or all, and never on the closed route), _text for
+the first sweep block written, tempfile for sweep --out, independence for
+independence and sampler for sample.
 """
 
 from __future__ import annotations
@@ -20,12 +26,9 @@ import contextlib
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import bipartite, independence, information, sampler
+from . import bipartite, information
 from .bipartite import BellLabel, InternalConsistencyError, ObservablePair
 from .observables import TWO_PI, Observable, Plane
 
@@ -70,6 +73,8 @@ def _parse_vary(text: str) -> tuple[str, np.ndarray]:
         raise ValueError(f"--vary range {spec!r} is wider than the largest float")
     if steps < 1:
         raise ValueError("--vary steps must be at least 1")
+    import numpy as np
+
     return name, np.linspace(start, stop, steps)
 
 
@@ -127,6 +132,8 @@ def cmd_probs(args) -> int:
     print(f"marginals B:  {_fmt(pb0)} {_fmt(pb1)}")
     _print_report(report)
     if len(dists) > 1:
+        import numpy as np
+
         arrays = [d.as_array() for d in dists.values()]
         gap = max(
             float(np.abs(x - y).max())
@@ -149,6 +156,8 @@ def _sweep_axes(args) -> tuple[dict[str, np.ndarray], int]:
     listed varies slowest. Every axis is checked here, so a bad angle
     anywhere in the grid is reported before any row is written.
     """
+    import numpy as np
+
     texts = args.vary or []
     if len(texts) > 2:
         raise ValueError("at most two parameters can vary")
@@ -175,6 +184,8 @@ def _sweep_grid(
     (start // stride) % len(axis) to the last one the rows reach, at most
     min(stop - start, len(axis)) of them; values[index] is the angle column.
     """
+    import numpy as np
+
     rows = np.arange(start, stop)
     grid = {}
     stride = 1
@@ -198,6 +209,8 @@ def cmd_sweep(args) -> int:
     the start of the grid. On stdout the header and the earlier blocks have
     been written by then; --out is left as it was.
     """
+    import numpy as np
+
     _require_finite_tol(args.tol)
     label = BellLabel(args.s, args.t)
     axes, total = _sweep_axes(args)
@@ -239,7 +252,9 @@ def _write_sweep_rows(handle, label, grid, probs, entropy, mutual, degree, indep
     about a thousand at a time, so any text handle takes them: the --out temp
     file, sys.stdout or a StringIO.
     """
-    from . import _text  # here, so that importing the CLI does not load it
+    import numpy as np
+
+    from . import _text
 
     angles = [_text.floats(values)[index] for values, index in map(grid.get, _ANGLE_NAMES)]
     p00, p01 = (_text.floats(probs[:, k]) for k in (0, 1))
@@ -259,6 +274,8 @@ def _replacing(path: str):
     path that exists but is no regular file, such as /dev/stdout or a pipe,
     is written in place.
     """
+    import tempfile
+
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "w", encoding="utf-8", newline="") as handle:
@@ -321,6 +338,7 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
         raise ValueError("samples must be at least 1")
     if seed < 0:  # numpy's own message would not name the seed
         raise ValueError("seed must be a non-negative integer")
+    import numpy as np
 
     maxima = np.full(6, -np.inf)
     worst_tuple = None
@@ -387,6 +405,8 @@ def _verify_draws(samples: int, seed: int):
     label column k starts at half q = k*n past word 4n: the stream advances
     4n + q // 2 words and, when q is odd, throws the low half away.
     """
+    import numpy as np
+
     def positioned(words: int, skip_half: bool = False) -> np.random.Generator:
         bits = np.random.PCG64(seed)
         bits.advance(words)
@@ -416,6 +436,8 @@ def _max_commutator_norm(mu, eta, nu, zeta) -> float:
     Each block is one bipartite.commutator_norms call, which tiles it; verify
     passes one block, so a longer input is the only one that loops here.
     """
+    import numpy as np
+
     block_max = []
     for start in range(0, len(mu), VERIFY_BLOCK_ROWS):
         rows = slice(start, start + VERIFY_BLOCK_ROWS)
@@ -454,6 +476,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_independence(args) -> int:
+    from . import independence
+
     plane = _PLANE_FLAGS[args.plane]
     label = BellLabel(args.s, args.t)
     cond = independence.plane_condition(plane, label)
@@ -486,6 +510,8 @@ def cmd_independence(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args) -> int:
+    from . import sampler
+
     _require_finite_tol(args.tol)  # before the draws, which may take seconds
     pair, label = _parse_point(args)
     dist = bipartite.joint_distribution_closed(pair, label)

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from . import bipartite, information
-from .bipartite import BellLabel, JointDistribution, ObservablePair
-from .observables import TWO_PI, Plane, classify_plane
+from .bipartite import BellLabel, ObservablePair
+from .observables import TWO_PI, Plane, angle_value, classify_plane
 
 DEFAULT_ANGLE_TOL = 1e-9
 ROOT_THETA_TOL = 1e-10
@@ -92,7 +90,7 @@ def plane_condition(plane: Plane, label: BellLabel) -> PlaneCondition:
 
 
 def _check_range(value: float, hi: float, name: str) -> float:
-    value = float(value)
+    value = angle_value(value, name)
     if not math.isfinite(value) or not 0.0 <= value <= hi:
         raise ValueError(f"{name} must lie in [0, {hi}], got {value}")
     return value
@@ -192,6 +190,7 @@ def solve_independence(
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
+    import numpy as np
 
     xs = np.linspace(float(lo), float(hi), int(grid))
     pairs = [path(float(x)) for x in xs]

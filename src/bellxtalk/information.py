@@ -4,14 +4,15 @@ All quantities use natural logarithms (nats). Bell-state distributions have
 the shape (theta, 1/2-theta, 1/2-theta, theta); for them the mutual
 information between the two measurements equals 2*ln(2) - entropy, and zero
 mutual information is equivalent to theta = 1/4.
+
+The one-distribution measures run on plain floats; only the row helpers for
+sweeps import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import bipartite
 from .bipartite import BellLabel, JointDistribution, ObservablePair
@@ -121,6 +122,8 @@ def crosstalk_report(pair: ObservablePair, label: BellLabel, tol: float = DEFAUL
 # ---------------------------------------------------------------------------
 
 def shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     p = np.asarray(p, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, -p * np.log(p), 0.0)
@@ -128,6 +131,8 @@ def shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
 
 
 def mutual_information_rows(p: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     p = np.asarray(p, dtype=np.float64)
     pa0 = p[:, 0] + p[:, 1]
     pa1 = p[:, 2] + p[:, 3]
@@ -141,4 +146,6 @@ def mutual_information_rows(p: np.ndarray) -> np.ndarray:
 
 def degree_rows(mutual_info: np.ndarray) -> np.ndarray:
     """Each row's degree of dependence from its mutual_information_rows value."""
+    import numpy as np
+
     return np.clip(mutual_info / LN2, 0.0, 1.0)

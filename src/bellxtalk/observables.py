@@ -9,6 +9,10 @@ which identifies the family with the unit sphere of traceless Hermitian 2x2
 operators through (x, y, z) = (sin(mu)cos(eta), sin(mu)sin(eta), cos(mu)).
 matrices() builds a (2, 2, n) stack of them from angle arrays; matrix() is its
 one-row call, so the matrix is written once.
+
+Importing the module does not load numpy: the functions that build arrays
+import it, and the matrix constants SIGMA1, SIGMA2, SIGMA3, HADAMARD and
+IDENTITY2 are built on first access, through the module __getattr__, and kept.
 """
 
 from __future__ import annotations
@@ -17,17 +21,41 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
-IDENTITY2 = np.eye(2, dtype=np.complex128)
-
 DEFAULT_PLANE_TOL = 1e-9
+
+#: how each matrix constant is built from numpy
+_CONSTANTS = {
+    "SIGMA1": lambda np: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
+    "SIGMA2": lambda np: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
+    "SIGMA3": lambda np: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
+    "HADAMARD": lambda np: np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0),
+    "IDENTITY2": lambda np: np.eye(2, dtype=np.complex128),
+}
+
+
+def __getattr__(name: str):
+    """Build a matrix constant on its first access and keep it in the module's globals."""
+    build = _CONSTANTS.get(name)
+    if build is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+
+    value = globals()[name] = build(np)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_CONSTANTS})
+
+
+def angle_value(value, name: str) -> float:
+    """value as a float, if it is a number: float() would also parse a str, bytes or other buffer."""
+    kind = type(value)
+    if not (hasattr(kind, "__float__") or hasattr(kind, "__index__")):
+        raise TypeError(f"{name} must be a number, not {kind.__name__}")
+    return float(value)
 
 
 class NamedGate(Enum):
@@ -70,8 +98,8 @@ class Observable:
     eta: float
 
     def __post_init__(self) -> None:
-        mu = float(self.mu)
-        eta = float(self.eta)
+        mu = angle_value(self.mu, "mu")
+        eta = angle_value(self.eta, "eta")
         if not (math.isfinite(mu) and math.isfinite(eta)):
             raise ValueError("observable angles must be finite")
         if not 0.0 <= mu <= math.pi:
@@ -87,6 +115,8 @@ class BlochDirection:
     z: float
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x, self.y, self.z])
 
 
@@ -115,6 +145,8 @@ def matrices(polar, azimuth) -> np.ndarray:
     The row index is last, the struct-of-arrays layout of the batch oracles.
     Inputs are 1-d float arrays of one length and are not validated.
     """
+    import numpy as np
+
     mats = np.empty((2, 2, polar.shape[0]), dtype=np.complex128)
     c, sn = np.cos(polar), np.sin(polar)
     phase = np.exp(-1j * azimuth)
@@ -127,6 +159,8 @@ def matrices(polar, azimuth) -> np.ndarray:
 
 def matrix(obs: Observable) -> np.ndarray:
     """2x2 Hermitian matrix of the observable; trace 0, squares to identity."""
+    import numpy as np
+
     return matrices(np.array([obs.mu]), np.array([obs.eta]))[:, :, 0]
 
 
@@ -149,6 +183,8 @@ def eigenvector(obs: Observable, k: int) -> np.ndarray:
     tr = (math.cos(half), math.sin(half))
     phase = complex(math.cos(obs.eta), -math.sin(obs.eta))
     sign = 1.0 if k == 0 else -1.0
+    import numpy as np
+
     return np.array([sign * phase * tr[k], tr[(k + 1) % 2]], dtype=np.complex128)
 
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 from .bipartite import JointDistribution
 from .information import DEFAULT_INDEPENDENCE_TOL, CrosstalkReport, report_from_distribution
@@ -53,6 +51,8 @@ def sample(dist: JointDistribution, n: int, seed: int) -> SampleCounts:
         raise ValueError("sample size must be at least 1")
     if not 0 <= seed <= U64_MAX:
         raise ValueError("seed must be an unsigned 64-bit integer")
+    import numpy as np
+
     cdf = np.cumsum(dist.as_array())
     cdf[3] = 1.0  # guard the top bin against rounding in the cumulative sum
     counts = _kernels.sample_counts(cdf, int(n), np.uint64(seed))

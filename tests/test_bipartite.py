@@ -510,6 +510,28 @@ class TestCommutator:
         assert reference.max() > 1e-9
         assert np.abs(commutator_norms(*angles) - reference).max() <= 1e-15
 
+    def test_correct_lifts_build_no_row_matrices(self, monkeypatch):
+        # every basis commutator of correct lifts is exactly zero, so each finite row's norm is zero
+        calls = []
+        matrices = bipartite.matrices
+        monkeypatch.setattr(bipartite, "matrices", lambda *args: calls.append(len(args[0])) or matrices(*args))
+        angles = _random_angles(61, 2 * bipartite.COMMUTATOR_TILE_ROWS + 1)
+        norms = commutator_norms(*angles)
+        assert calls == []
+        assert norms.dtype == np.float64 and np.array_equal(norms, np.zeros(len(angles[0])))
+        monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)
+        assert commutator_norms(*angles).min() > 0.0
+        assert calls == [512, 512, 512, 512, 1, 1]  # the wrong lift takes the tiles, A's and B's per tile
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_non_finite_angle_row_is_nan_with_correct_lifts(self, bad):
+        mu, eta, nu, zeta = _random_angles(67, 5)
+        zeta[2] = bad
+        with np.errstate(invalid="ignore"):
+            norms = commutator_norms(mu, eta, nu, zeta)
+        assert math.isnan(norms[2])
+        assert np.array_equal(np.delete(norms, 2), np.zeros(4))
+
     def test_a_lift_patched_between_calls_reaches_the_next_call(self, monkeypatch):
         # the basis commutators are built on every call, never kept from an earlier one
         angles = _random_angles(59, 40)
@@ -552,9 +574,8 @@ class TestInternalConsistency:
         alternate = bipartite._kernels.closed_joint_alt
 
         def shifted(*args):
-            out = alternate(*args)
-            out[:, 0] += plant
-            return out
+            (p00, *rest), = alternate(*args)  # the one row the point route asks for
+            return [(p00 + plant, *rest)]
 
         monkeypatch.setattr(bipartite._kernels, "closed_joint_alt", shifted)
         with pytest.raises(InternalConsistencyError) as caught:

@@ -277,6 +277,7 @@ class TestVerify:
         line = next(l for l in out.splitlines() if "lifted commutator norm" in l)
         assert line.split()[-1] == "FAIL"
         assert float(line.split()[-2]) > 0.1
+        assert self._statuses(out) == {"lifted commutator norm": "FAIL"}
 
     def test_planted_lift_of_a_onto_the_second_factor_fails_the_commutator_check(self, capsys, monkeypatch):
         # A lifted onto the second factor: [I (x) A, I (x) B] = I (x) [A, B] is not zero
@@ -286,6 +287,7 @@ class TestVerify:
         line = next(l for l in out.splitlines() if "lifted commutator norm" in l)
         assert line.split()[-1] == "FAIL"
         assert float(line.split()[-2]) > 0.1
+        assert self._statuses(out) == {"lifted commutator norm": "FAIL"}
 
     def test_small_leak_in_a_lift_fails_the_commutator_check(self, capsys, monkeypatch):
         # I (x) B + 1e-9 B (x) I leaves a commutator near 1e-9, far below the gross faults above
@@ -293,9 +295,14 @@ class TestVerify:
         monkeypatch.setattr(bipartite, "lift_second", lambda b: lift_second(b) + 1e-9 * bipartite.lift_first(b))
         code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "2", "--tol", "1e-12")
         assert code == 1
+        assert self._statuses(out) == {"lifted commutator norm": "FAIL"}
+
+    @staticmethod
+    def _statuses(out):
+        """The name and status of each verify check that is not OK; there are six in all."""
         statuses = {l[:32].strip(): l.split()[-1] for l in out.splitlines() if l.endswith(("OK", "FAIL"))}
-        assert statuses.pop("lifted commutator norm") == "FAIL"
-        assert set(statuses.values()) == {"OK"}
+        assert len(statuses) == 6
+        return {name: status for name, status in statuses.items() if status != "OK"}
 
 
 class TestIndependenceCommand:
@@ -739,8 +746,10 @@ def test_infinite_tolerance_is_usage_error(capsys, command, tol):
 
 
 def test_sample_checks_its_tolerance_before_drawing(capsys, monkeypatch):
+    from bellxtalk import sampler
+
     draws = []
-    monkeypatch.setattr(cli.sampler, "sample", lambda *args: draws.append(args))
+    monkeypatch.setattr(sampler, "sample", lambda *args: draws.append(args))
     code, out, err = run_cli(capsys, "sample", "--n", "300000000", "--tol", "inf")
     assert (code, out, err) == (2, "", "error: tolerance must be positive and finite\n")
     assert draws == []
@@ -810,9 +819,8 @@ def test_point_route_variant_disagreement_exits_1(capsys, monkeypatch):
     alternate = bipartite._kernels.closed_joint_alt
 
     def shifted(*args):
-        out = alternate(*args)
-        out[:, 0] += 1e-9
-        return out
+        (p00, *rest), = alternate(*args)  # the one row the point route asks for
+        return [(p00 + 1e-9, *rest)]
 
     monkeypatch.setattr(bipartite._kernels, "closed_joint_alt", shifted)
     code, out, err = run_cli(capsys, "probs", "--mu", "0.4", "--eta", "1.3", "--nu", "2.1", "--zeta", "5.0")

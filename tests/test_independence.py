@@ -310,3 +310,22 @@ def test_nan_angle_tolerance_is_rejected():
 def test_infinite_angle_tolerance_is_rejected():
     with pytest.raises(ValueError, match="angle tolerance must be positive and finite"):
         condition_x_plane(PI / 4, 1.0, s=0, tol=math.inf)
+
+
+TEXT_ANGLES = ["3", b"3", bytearray(b"3"), memoryview(b"3")]
+
+
+@pytest.mark.parametrize("text", TEXT_ANGLES, ids=type)
+def test_text_angles_are_type_errors(text):
+    # float() would parse them: "3" gave two partners on z=0
+    with pytest.raises(TypeError, match="anchor must be a number"):
+        partner_angles(Plane.Z_ZERO, BellLabel(1, 1), text)
+    with pytest.raises(TypeError, match="mu must be a number"):
+        condition_x_plane(text, 0.5, s=0)
+    with pytest.raises(TypeError, match="zeta must be a number"):
+        condition_z_plane(0.5, text, t=1)
+
+
+def test_numeric_angle_types_are_accepted():
+    assert partner_angles(Plane.Z_ZERO, BellLabel(1, 1), 3) == partner_angles(Plane.Z_ZERO, BellLabel(1, 1), 3.0)
+    assert condition_y_plane(np.float64(HALF_PI), 0, s=0, t=0) == condition_y_plane(HALF_PI, 0.0, s=0, t=0)

@@ -44,6 +44,17 @@ class TestObservableConstruction:
         with pytest.raises(ValueError):
             Observable(0.0, math.inf)
 
+    @pytest.mark.parametrize("text", ["0.3", b"0.3", bytearray(b"0.3"), memoryview(b"0.3")], ids=type)
+    def test_rejects_text_angles(self, text):
+        # float() would parse them
+        with pytest.raises(TypeError, match="mu must be a number"):
+            Observable(text, 0.0)
+        with pytest.raises(TypeError, match="eta must be a number"):
+            Observable(0.3, text)
+
+    def test_accepts_numeric_angle_types(self):
+        assert Observable(1, np.float64(0.5)) == Observable(1.0, 0.5)
+
 
 class TestNamedGates:
     # these four identities anchor the parameterization
