@@ -7,12 +7,15 @@ Run from the repository root:
 Each case is one ``bellxtalk`` command line, run in-process. The file maps the
 command line to its [exit code, stdout, stderr], except for these kinds:
 
-- the stdout of a sweep, and of a verify run at 10k samples, is stored as
-  its sha256 (hashed_cases);
+- the stdout of a sweep, and of a verify run at 10k or 200k samples, is
+  stored as its sha256 (hashed_cases);
 - the anchored ``independence`` runs of one plane and label are stored under
   the key of the unanchored run plus " <anchors>", as a list of what each run
   prints after the unanchored run's stdout, in the order of _anchor_flags.
   Each such run must exit 0 with nothing on stderr.
+
+The bad-input runs (error_cases and usage_error_cases) must each exit
+nonzero, print nothing on stdout and one line, with no traceback, on stderr.
 
 Three more keys each hold one sha256: LIBRARY_KEY of library_text
 (``plane_condition``, ``partner_angles`` and the three plane predicates over
@@ -100,6 +103,29 @@ def error_cases() -> list[tuple[str, ...]]:
     )]
 
 
+def usage_error_cases() -> list[tuple[str, ...]]:
+    """Bad tolerances, angles, --vary specs, sample sizes and seeds of the other commands."""
+    cases = [(command, "--tol", tol) for command in ("probs", "sweep", "verify", "sample")
+             for tol in ("0", "-1", "nan", "inf")]
+    return cases + [
+        ("probs", "--mu", "4"),
+        ("sweep", "--vary", "mu=0:4:3"),
+        ("sweep", "--vary", "mu=0:1"),
+        ("sweep", "--vary", "nu=0:1:3", "--vary", "nu=0:2:3"),
+        ("sweep", "--vary", "mu=0:1:3", "--vary", "nu=0:1:3", "--vary", "eta=0:1:3"),
+        ("verify", "--samples", "0"),
+        ("verify", "--seed", "-1"),
+        ("sample", "--n", "0"),
+        ("sample", "--seed", str(2**64)),
+    ]
+
+
+def is_one_line_error(record: list) -> bool:
+    """A bad-input run's record: nonzero exit, no stdout, one stderr line and no traceback."""
+    code, out, err = record
+    return code != 0 and out == "" and err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+
+
 def sweep_cases() -> list[tuple[str, ...]]:
     pi, two_pi = repr(PI), repr(2 * PI)
     return [
@@ -123,11 +149,21 @@ def sweep_cases() -> list[tuple[str, ...]]:
         # two axes, 3 x 2731 = 8193 rows: two blocks and a row
         ("sweep", "--vary", f"nu=0:{pi}:3", "--vary", f"zeta=0:{two_pi}:2731", "--mu", "0.75",
          "--eta", "2.5", "--s", "0", "--t", "1"),
+        # 1023, 1024, 1025 and 2049 rows, across the edges of the 1024-row slices the text is joined in
+        ("sweep", "--vary", f"mu=0:{pi}:1023", "--eta", "1.5", "--nu", "2.0", "--zeta", "3.5",
+         "--s", "1", "--t", "0"),
+        ("sweep", "--vary", f"zeta=0:{two_pi}:1024", "--mu", "0.25", "--eta", "5.5", "--nu", "1.75",
+         "--s", "0", "--t", "0"),
+        ("sweep", "--vary", f"eta=0:{two_pi}:5", "--vary", f"nu=0:{pi}:205", "--mu", "2.75",
+         "--zeta", "0.5", "--s", "1", "--t", "1"),
+        ("sweep", "--vary", f"nu=0:{pi}:2049", "--mu", "0.6", "--eta", "4.0", "--zeta", "2.2",
+         "--s", "0", "--t", "1", "--tol", "0.01"),
     ]
 
 
 def long_verify_cases() -> list[tuple[str, ...]]:
-    return [("verify", "--samples", "10000", "--seed", seed) for seed in ("0", "5")]
+    return [("verify", "--samples", "10000", "--seed", seed) for seed in ("0", "5")] + [
+        ("verify", "--samples", "200000", "--seed", "0")]
 
 
 def hashed_cases() -> list[tuple[str, ...]]:
@@ -250,7 +286,9 @@ def build() -> dict:
             assert (code, err) == (0, "") and out.startswith(header[1]), argv
             tails.append(out[len(header[1]):])
         golden[anchored_key(group)] = tails
-    golden.update((key(argv), run(argv)) for argv in error_cases())
+    for argv in error_cases() + usage_error_cases():
+        golden[key(argv)] = record = run(argv)
+        assert is_one_line_error(record), argv
     golden.update((key(argv), hashed_record(argv)) for argv in hashed_cases())
     golden.update((key(argv), run(argv)) for argv in verify_cases())
     golden[LIBRARY_KEY] = sha256(library_text())

@@ -13,7 +13,7 @@ with open(mg.GOLDEN_PATH, encoding="utf-8") as _handle:
 def test_golden_holds_exactly_the_cases():
     expected = [mg.key(group) for group in mg.groups()]
     expected += [mg.anchored_key(group) for group in mg.groups()]
-    expected += [mg.key(argv) for argv in mg.error_cases() + mg.hashed_cases() + mg.verify_cases()]
+    expected += [mg.key(argv) for argv in mg.error_cases() + mg.usage_error_cases() + mg.hashed_cases() + mg.verify_cases()]
     assert sorted(GOLDEN) == sorted(expected + [mg.LIBRARY_KEY, mg.PROBS_KEY, mg.REPORT_KEY, mg.SAMPLE_KEY])
 
 
@@ -28,7 +28,16 @@ def test_independence(group):
 
 @pytest.mark.parametrize("argv", mg.error_cases(), ids=mg.key)
 def test_independence_error(argv):
-    assert mg.run(argv) == GOLDEN[mg.key(argv)]
+    record = mg.run(argv)
+    assert record == GOLDEN[mg.key(argv)]
+    assert mg.is_one_line_error(record)
+
+
+@pytest.mark.parametrize("argv", mg.usage_error_cases(), ids=mg.key)
+def test_usage_error(argv):
+    record = mg.run(argv)
+    assert record == GOLDEN[mg.key(argv)]
+    assert mg.is_one_line_error(record)
 
 
 @pytest.mark.parametrize("argv", mg.sweep_cases(), ids=range(len(mg.sweep_cases())))
