@@ -50,61 +50,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellLabel",
-    "BlochDirection",
-    "ConditionKind",
-    "CrosstalkReport",
-    "HADAMARD",
-    "IDENTITY2",
-    "INDEX_ORDER",
-    "IndependenceRoot",
-    "InternalConsistencyError",
-    "JointDistribution",
-    "NamedGate",
-    "Observable",
-    "ObservablePair",
-    "OutcomeFrame",
-    "Plane",
-    "PlaneClass",
-    "PlaneCondition",
-    "SIGMA1",
-    "SIGMA2",
-    "SIGMA3",
-    "SampleCounts",
-    "bell_state",
-    "cell_z_scores",
-    "check_consistency",
-    "classify_plane",
-    "commutator_norm",
-    "condition_x_plane",
-    "condition_y_plane",
-    "condition_z_plane",
-    "crosstalk_report",
-    "degree_of_dependence",
-    "direction",
-    "eigenvalue",
-    "eigenvector",
-    "empirical_distribution",
-    "empirical_report",
-    "entropy_theta",
-    "has_equal_marginals",
-    "is_informationally_independent",
-    "is_klein_symmetric",
-    "joint_distribution_amplitude",
-    "joint_distribution_bruteforce",
-    "joint_distribution_closed",
-    "lift_first",
-    "lift_second",
-    "marginals",
-    "matrix",
-    "mutual_information",
-    "named_gate",
-    "outcome_frame",
-    "partner_angles",
-    "plane_condition",
-    "report_from_distribution",
-    "sample",
-    "shannon_entropy",
-    "solve_independence",
-]
+__all__ = sorted(_MODULE_OF)

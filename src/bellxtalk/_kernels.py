@@ -27,13 +27,8 @@ one-pair route passes as one-element lists. They choose by the type of mu: a
 list goes row by row through math on plain floats and gives a list of n
 tuples of 4 floats, anything else goes through numpy and gives an (n, 4)
 float64 ndarray. Each kernel's cells are written once, in a helper that takes
-sin, cos and, for the alternate form, where as arguments. On one row, numpy's
-per-call dispatch (about 35 ufunc calls and two np.stack calls around about
-1 us of arithmetic) made closed_joint take about 18 us and closed_joint_alt
-about 30 us; through math each takes about 3.5-4.5 us, of which about 1 us
-is arithmetic and the rest the call and the row loop (2 vCPUs, Python
-3.11.7, numpy 2.4.6). The list route never imports numpy, so neither does a
-one-pair query.
+sin, cos and, for the alternate form, where as arguments. The list route never
+imports numpy, so neither does a one-pair query.
 
 Every function that builds arrays imports numpy itself, and the splitmix64
 constants are plain ints, so importing this module does not load numpy.

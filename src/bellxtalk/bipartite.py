@@ -142,12 +142,11 @@ def bell_state(label: BellLabel) -> np.ndarray:
 
 
 def bell_state_batch(s, t) -> np.ndarray:
-    """Stacked Bell states for bit arrays s, t; shape (n, 4)."""
+    """Stacked Bell states for 0/1 bit arrays s, t of one length; shape (n, 4)."""
     import numpy as np
 
-    s = np.asarray(s, dtype=np.int64)
-    t = np.asarray(t, dtype=np.int64)
-    n = s.shape[0]
+    n = len(s)
+    s, t = _validated_bits(s, n, "s"), _validated_bits(t, n, "t")
     amp = 1.0 / math.sqrt(2.0)
     psi = np.zeros((n, 4), dtype=np.complex128)
     rows = np.arange(n)
@@ -254,14 +253,6 @@ def commutator_norm(pair: ObservablePair) -> float:
     return float(commutator_norms(*_angle_arrays(pair))[0])
 
 
-def _matmul_rows_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for (4, 4, n) stacks of matrices: four broadcast multiply-adds over the inner index."""
-    out = x[:, 0, None] * y[0]
-    for k in range(1, 4):
-        out += x[:, k, None] * y[k]
-    return out
-
-
 def commutator_norms(mu, eta, nu, zeta) -> np.ndarray:
     """Frobenius norm of [A tensor I, I tensor B] for each row of angles; shape (n,).
 
@@ -279,7 +270,7 @@ def commutator_norms(mu, eta, nu, zeta) -> np.ndarray:
     units = np.eye(4, dtype=np.complex128).reshape(2, 2, 4)  # E_pq at 2p + q
     lift_a = lift_first(np.repeat(units, 4, axis=2))  # column 4i + j pairs E_i with E_j
     lift_b = lift_second(np.tile(units, 4))
-    basis = (_matmul_rows_last(lift_a, lift_b) - _matmul_rows_last(lift_b, lift_a)).reshape(16, 16)
+    basis = (np.einsum("ikn,kjn->ijn", lift_a, lift_b) - np.einsum("ikn,kjn->ijn", lift_b, lift_a)).reshape(16, 16)
     if not basis.any() and all(np.isfinite(angle).all() for angle in (mu, eta, nu, zeta)):
         return np.zeros(len(mu))
     norms = np.empty(len(mu))
@@ -322,17 +313,27 @@ def _point_row(pair: ObservablePair, label: BellLabel):
     return [pair.a.mu], [pair.a.eta], [pair.b.mu], [pair.b.eta], [label.s], [label.t]
 
 
-#: upper end of each angle's domain [0, hi]; eta/zeta accept the closed end
-#: 2*pi, which is equivalent to 0
-_ANGLE_BOUNDS = {"mu": math.pi, "eta": TWO_PI, "nu": math.pi, "zeta": TWO_PI}
+#: upper end of each angle's domain [0, hi], in the kernels' argument order;
+#: eta/zeta accept the closed end 2*pi, which is equivalent to 0
+ANGLE_BOUNDS = {"mu": math.pi, "eta": TWO_PI, "nu": math.pi, "zeta": TWO_PI}
+
+
+def _numeric(values, name: str) -> np.ndarray:
+    """values as an array of bools, integers or floats; np.asarray would also take text and bytes."""
+    import numpy as np
+
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must hold numbers, not {arr.dtype}")
+    return arr
 
 
 def validated_angle(name: str, values) -> np.ndarray:
     """values as a contiguous 1-d float64 array, checked to be finite and in name's domain."""
     import numpy as np
 
-    hi = _ANGLE_BOUNDS[name]
-    arr = np.ascontiguousarray(values, dtype=np.float64)
+    hi = ANGLE_BOUNDS[name]
+    arr = np.ascontiguousarray(_numeric(values, name), dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -343,7 +344,7 @@ def validated_angle(name: str, values) -> np.ndarray:
 
 
 def _validated_angles(mu, eta, nu, zeta):
-    arrays = [validated_angle(name, values) for name, values in zip(_ANGLE_BOUNDS, (mu, eta, nu, zeta))]
+    arrays = [validated_angle(name, values) for name, values in zip(ANGLE_BOUNDS, (mu, eta, nu, zeta))]
     n = arrays[0].shape[0]
     if any(a.shape[0] != n for a in arrays):
         raise ValueError("angle arrays must share one length")
@@ -351,14 +352,15 @@ def _validated_angles(mu, eta, nu, zeta):
 
 
 def _validated_bits(values, n: int, name: str) -> np.ndarray:
+    """values as a contiguous int64 array of length n, checked to be 0 or 1 before the cast truncates them."""
     import numpy as np
 
-    arr = np.ascontiguousarray(values, dtype=np.int64)
+    arr = _numeric(values, name)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a 1-d array of length {n}")
     if not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
-    return arr
+    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 def _validated_rows(mu, eta, nu, zeta, s, t):

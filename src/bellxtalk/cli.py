@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from . import bipartite, information
 from .bipartite import BellLabel, InternalConsistencyError, ObservablePair
-from .observables import TWO_PI, Observable, Plane
+from .observables import Observable, Plane, require_tolerance
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -45,7 +45,7 @@ SWEEP_BLOCK_ROWS = 4096
 #: one block at a time, so verify's memory stays at one block whatever --samples
 VERIFY_BLOCK_ROWS = 4096
 
-_ANGLE_NAMES = ("mu", "eta", "nu", "zeta")
+_ANGLE_NAMES = tuple(bipartite.ANGLE_BOUNDS)
 _PLANE_FLAGS = {"x0": Plane.X_ZERO, "y0": Plane.Y_ZERO, "z0": Plane.Z_ZERO}
 
 
@@ -76,11 +76,6 @@ def _parse_vary(text: str) -> tuple[str, np.ndarray]:
     import numpy as np
 
     return name, np.linspace(start, stop, steps)
-
-
-def _require_finite_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:  # also rejects NaN
-        raise ValueError("tolerance must be positive and finite")
 
 
 def _to_radians(value: float, use_degrees: bool) -> float:
@@ -132,14 +127,8 @@ def cmd_probs(args) -> int:
     print(f"marginals B:  {_fmt(pb0)} {_fmt(pb1)}")
     _print_report(report)
     if len(dists) > 1:
-        import numpy as np
-
-        arrays = [d.as_array() for d in dists.values()]
-        gap = max(
-            float(np.abs(x - y).max())
-            for i, x in enumerate(arrays)
-            for y in arrays[i + 1:]
-        )
+        rows = [d.p for d in dists.values()]
+        gap = max(abs(x - y) for i, p in enumerate(rows) for q in rows[i + 1:] for x, y in zip(p, q))
         print(f"max pairwise method discrepancy = {gap:.3e}")
     return EXIT_OK
 
@@ -211,7 +200,7 @@ def cmd_sweep(args) -> int:
     """
     import numpy as np
 
-    _require_finite_tol(args.tol)
+    require_tolerance(args.tol)
     label = BellLabel(args.s, args.t)
     axes, total = _sweep_axes(args)
 
@@ -313,14 +302,20 @@ class VerificationResult:
     max_commutator: float
     worst_tuple: tuple[float, float, float, float, int, int]
 
-    def worst(self) -> float:
-        return max(
-            self.max_method_gap, self.max_sum_error, self.max_klein_gap,
-            self.max_marginal_gap, self.max_variant_gap, self.max_commutator,
+    def _checks(self) -> tuple[tuple[str, float], ...]:
+        """Each check's name and worst value, in the order verify prints them."""
+        return (
+            ("three-method max gap", self.max_method_gap),
+            ("normalization error", self.max_sum_error),
+            ("diagonal symmetry gap", self.max_klein_gap),
+            ("marginal deviation from 1/2", self.max_marginal_gap),
+            ("closed-variant gap", self.max_variant_gap),
+            ("lifted commutator norm", self.max_commutator),
         )
 
     def passes(self, tol: float) -> bool:
-        return self.worst() <= tol
+        """True when every check is within tol; a NaN fails its check."""
+        return all(value <= tol for _, value in self._checks())
 
 
 def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
@@ -417,7 +412,7 @@ def _verify_draws(samples: int, seed: int):
 
     angle_streams = [
         (positioned(k * samples), high)
-        for k, high in enumerate((math.pi, TWO_PI, math.pi, TWO_PI))
+        for k, high in enumerate(bipartite.ANGLE_BOUNDS.values())
     ]
     label_streams = [
         positioned(4 * samples + q // 2, q % 2 == 1) for q in (0, samples)
@@ -431,38 +426,17 @@ def _verify_draws(samples: int, seed: int):
 
 
 def _max_commutator_norm(mu, eta, nu, zeta) -> float:
-    """Largest Frobenius norm of [A (x) I, I (x) B], VERIFY_BLOCK_ROWS tuples at a time.
-
-    Each block is one bipartite.commutator_norms call, which tiles it; verify
-    passes one block, so a longer input is the only one that loops here.
-    """
-    import numpy as np
-
-    block_max = []
-    for start in range(0, len(mu), VERIFY_BLOCK_ROWS):
-        rows = slice(start, start + VERIFY_BLOCK_ROWS)
-        block_max.append(bipartite.commutator_norms(mu[rows], eta[rows], nu[rows], zeta[rows]).max())
-    return float(np.max(block_max))
+    """Largest Frobenius norm of [A (x) I, I (x) B] over one block of rows, which commutator_norms tiles."""
+    return float(bipartite.commutator_norms(mu, eta, nu, zeta).max())
 
 
 def cmd_verify(args) -> int:
-    _require_finite_tol(args.tol)
+    require_tolerance(args.tol)
     result = run_verification(samples=args.samples, seed=args.seed)
-    checks = [
-        ("three-method max gap", result.max_method_gap),
-        ("normalization error", result.max_sum_error),
-        ("diagonal symmetry gap", result.max_klein_gap),
-        ("marginal deviation from 1/2", result.max_marginal_gap),
-        ("closed-variant gap", result.max_variant_gap),
-        ("lifted commutator norm", result.max_commutator),
-    ]
     print(f"samples={result.samples} seed={result.seed} tol={args.tol:g}")
-    ok = True
-    for name, value in checks:
-        status = "OK" if value <= args.tol else "FAIL"
-        ok &= value <= args.tol
-        print(f"  {name:<30} {value:.3e}  {status}")
-    if not ok:
+    for name, value in result._checks():
+        print(f"  {name:<30} {value:.3e}  {'OK' if value <= args.tol else 'FAIL'}")
+    if not result.passes(args.tol):
         mu, eta, nu, zeta, s, t = result.worst_tuple
         print("worst tuple:")
         print(f"  mu={_fmt(mu)} eta={_fmt(eta)} nu={_fmt(nu)} zeta={_fmt(zeta)} s={s} t={t}")
@@ -512,7 +486,7 @@ def cmd_independence(args) -> int:
 def cmd_sample(args) -> int:
     from . import sampler
 
-    _require_finite_tol(args.tol)  # before the draws, which may take seconds
+    require_tolerance(args.tol)  # before the draws, which may take seconds
     pair, label = _parse_point(args)
     dist = bipartite.joint_distribution_closed(pair, label)
     counts = sampler.sample(dist, args.n, args.seed)

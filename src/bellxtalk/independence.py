@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import bipartite, information
 from .bipartite import BellLabel, ObservablePair
-from .observables import TWO_PI, Plane, angle_value, classify_plane
+from .observables import TWO_PI, Plane, angle_value, classify_plane, require_tolerance
 
 DEFAULT_ANGLE_TOL = 1e-9
 ROOT_THETA_TOL = 1e-10
@@ -109,8 +109,7 @@ def _holds(plane: Plane, first: tuple[str, float], second: tuple[str, float], to
     s = 0 if s is None else _check_bit(s, "s")
     t = 0 if t is None else _check_bit(t, "t")
     is_sum, targets, _ = _rule(plane, s, t)
-    if not 0.0 < tol < math.inf:  # also rejects NaN
-        raise ValueError("angle tolerance must be positive and finite")
+    require_tolerance(tol, "angle tolerance")
     value = x + y if is_sum else abs(x - y)
     return any(abs(value - target) <= tol for target in targets)
 

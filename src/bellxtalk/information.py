@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import bipartite
 from .bipartite import BellLabel, JointDistribution, ObservablePair
+from .observables import require_tolerance
 
 LN2 = math.log(2.0)
 MAX_ENTROPY = 2.0 * LN2
@@ -77,8 +78,7 @@ def degree_of_dependence(dist: JointDistribution) -> float:
 
 def is_informationally_independent(dist: JointDistribution, tol: float = DEFAULT_INDEPENDENCE_TOL) -> bool:
     """True when the diagonal probability p00 equals 1/4 within tol."""
-    if not 0.0 < tol < math.inf:  # also rejects NaN
-        raise ValueError("tolerance must be positive and finite")
+    require_tolerance(tol)
     return abs(dist.p[0] - 0.25) <= tol
 
 

@@ -58,6 +58,12 @@ def angle_value(value, name: str) -> float:
     return float(value)
 
 
+def require_tolerance(tol, name: str = "tolerance") -> None:
+    """Raise ValueError unless tol is positive and finite; NaN is rejected as well."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 class NamedGate(Enum):
     SIGMA1 = "sigma1"
     SIGMA2 = "sigma2"
@@ -196,8 +202,7 @@ def direction(obs: Observable) -> BlochDirection:
 
 def classify_plane(obs: Observable, tol: float = DEFAULT_PLANE_TOL) -> PlaneClass:
     """Report every coordinate plane whose defining coordinate is within tol."""
-    if not 0.0 < tol < math.inf:  # also rejects NaN
-        raise ValueError("tolerance must be positive and finite")
+    require_tolerance(tol)
     d = direction(obs)
     hits = []
     if abs(d.x) <= tol:

@@ -17,13 +17,12 @@ implementations reproduce identical counts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import _kernels
 from .bipartite import JointDistribution
 from .information import DEFAULT_INDEPENDENCE_TOL, CrosstalkReport, report_from_distribution
-
-U64_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -47,16 +46,17 @@ class SampleCounts:
 
 def sample(dist: JointDistribution, n: int, seed: int) -> SampleCounts:
     """Draw n independent outcomes from dist; identical inputs give identical counts."""
+    n, seed = operator.index(n), operator.index(seed)  # TypeError for a float, which int() would truncate
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    if not 0 <= seed <= U64_MAX:
+    if not 0 <= seed <= _kernels._U64_MAX:
         raise ValueError("seed must be an unsigned 64-bit integer")
     import numpy as np
 
     cdf = np.cumsum(dist.as_array())
     cdf[3] = 1.0  # guard the top bin against rounding in the cumulative sum
-    counts = _kernels.sample_counts(cdf, int(n), np.uint64(seed))
-    return SampleCounts(n=int(n), counts=tuple(int(c) for c in counts), seed=int(seed))
+    counts = _kernels.sample_counts(cdf, n, np.uint64(seed))
+    return SampleCounts(n=n, counts=tuple(int(c) for c in counts), seed=seed)
 
 
 def empirical_distribution(counts: SampleCounts) -> JointDistribution:

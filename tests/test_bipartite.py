@@ -85,6 +85,17 @@ class TestBellStates:
         with pytest.raises(ValueError):
             BellLabel(0, -1)
 
+    @pytest.mark.parametrize("s,t,name", [([2], [0], "s"), ([0], [2], "t"), ([0], [5], "t"), ([0.5], [0], "s")])
+    def test_batch_rejects_bits_outside_zero_one(self, s, t, name):
+        with pytest.raises(ValueError, match=f"{name} entries must be 0 or 1"):
+            bell_state_batch(s, t)
+
+    def test_batch_rejects_text_bits_and_length_mismatch(self):
+        with pytest.raises(TypeError, match="s must hold numbers"):
+            bell_state_batch(["1"], [0])
+        with pytest.raises(ValueError, match="t must be a 1-d array of length 2"):
+            bell_state_batch([0, 1], [0])
+
 
 class TestLifts:
     def test_hand_expanded_kronecker(self):
@@ -613,6 +624,40 @@ class TestBatchValidation:
         bits[name][1] = bad
         with pytest.raises(ValueError, match=f"{name} entries must be 0 or 1"):
             route(z, z, z, z, bits["s"], bits["t"])
+
+    @pytest.mark.parametrize("route", [joint_closed_batch, joint_closed_alt_batch, joint_amplitude_batch])
+    @pytest.mark.parametrize("name", ["s", "t"])
+    @pytest.mark.parametrize("bad", [1.9, -0.5, 0.5, math.nan])
+    def test_fractional_bits_are_rejected_before_the_cast(self, route, name, bad):
+        one = np.ones(1)
+        bits = {"s": np.zeros(1), "t": np.zeros(1)}
+        bits[name][0] = bad
+        with pytest.raises(ValueError, match=f"{name} entries must be 0 or 1"):
+            route(one, one, one, one, bits["s"], bits["t"])
+
+    def test_whole_float_and_bool_bits_are_accepted(self):
+        one = [1.0]
+        expected = joint_closed_batch(one, one, one, one, [1], [0])
+        assert np.array_equal(joint_closed_batch(one, one, one, one, [1.0], [0.0]), expected)
+        assert np.array_equal(joint_closed_batch(one, one, one, one, [True], [False]), expected)
+
+    @pytest.mark.parametrize("route", [joint_closed_batch, joint_closed_alt_batch, joint_amplitude_batch])
+    @pytest.mark.parametrize("name", ["s", "t"])
+    @pytest.mark.parametrize("bad", [["1"], [b"1"], [1j], [None]])
+    def test_non_numeric_bits_raise_type_error(self, route, name, bad):
+        one = [1.0]
+        bits = {"s": [0], "t": [0], name: bad}
+        with pytest.raises(TypeError, match=f"{name} must hold numbers"):
+            route(one, one, one, one, bits["s"], bits["t"])
+
+    @pytest.mark.parametrize("name", ["mu", "eta", "nu", "zeta"])
+    @pytest.mark.parametrize("bad", [["1"], [b"1"], [1j], [None]])
+    def test_non_numeric_angles_raise_type_error(self, name, bad):
+        angles = {"mu": [1.0], "eta": [1.0], "nu": [1.0], "zeta": [1.0], name: bad}
+        with pytest.raises(TypeError, match=f"{name} must hold numbers"):
+            joint_closed_batch(*angles.values(), [0], [0])
+        with pytest.raises(TypeError, match=f"{name} must hold numbers"):
+            joint_bruteforce_batch(*angles.values(), bell_state_batch([0], [0]))
 
     def test_psi_shape(self):
         z = np.zeros(2)

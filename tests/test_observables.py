@@ -18,6 +18,7 @@ from bellxtalk.observables import (
     eigenvector,
     matrix,
     named_gate,
+    require_tolerance,
 )
 
 PI = math.pi
@@ -211,3 +212,16 @@ def test_classify_plane_rejects_nan_tolerance():
 def test_classify_plane_rejects_infinite_tolerance():
     with pytest.raises(ValueError, match="tolerance must be positive and finite"):
         classify_plane(Observable(1.0, 1.0), math.inf)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, -0.0, math.nan, math.inf, -math.inf])
+def test_require_tolerance_rejects_and_names(tol):
+    with pytest.raises(ValueError, match="^tolerance must be positive and finite$"):
+        require_tolerance(tol)
+    with pytest.raises(ValueError, match="^angle tolerance must be positive and finite$"):
+        require_tolerance(tol, "angle tolerance")
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-12, 1.0, 1e308])
+def test_require_tolerance_accepts_positive_finite(tol):
+    assert require_tolerance(tol) is None

@@ -69,6 +69,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(UNIFORM, 0, 0)
 
+    @pytest.mark.parametrize("n,seed", [(2.5, 0), (10.0, 0), (10, 1.5), (10, 1.0), ("10", 0), (10, "1")])
+    def test_non_integral_size_and_seed_are_rejected(self, n, seed):
+        with pytest.raises(TypeError):
+            sample(UNIFORM, n, seed)
+
+    def test_numpy_integers_are_accepted(self):
+        counts = sample(UNIFORM, np.int64(100), np.uint64(7))
+        assert counts == sample(UNIFORM, 100, 7)
+        assert type(counts.n) is int and type(counts.seed) is int
+
 
 class TestEmpiricalReport:
     def test_uniform_counts(self):
