@@ -9,9 +9,10 @@ module.
 with c = a.S b, where a and b are the Bloch vectors and S is the diagonal
 sign matrix diag(1-2s, -(1-2s)(1-2t), 1-2t). The other three probability
 kernels are the oracles it is checked against: the half-angle closed form,
-the interference amplitudes and Born-rule brute force. Brute force works in
-struct-of-arrays form, the row index last: its frames and the state are
-(2, 2, n) stacks, contracted by broadcast multiply-adds over whole rows.
+the interference amplitudes and Born-rule brute force. Brute force contracts
+the state with the two eigenvector frames entry by entry: each frame entry
+u[k][a] and state entry psi[a][b] is one row value (a column of n rows, or
+one number), combined by two-term multiply-adds.
 
 The sampler compares each 64-bit splitmix64 word with the integer bound
 floor(c * 2^53) * 2^11 + 2047 of each cdf entry c, which holds for exactly
@@ -22,13 +23,18 @@ length, s/t are int64 arrays of that length, psi is complex128 with shape
 (n, 4). Probability outputs have shape (n, 4) in the fixed cell order
 (0,0),(0,1),(1,0),(1,1) and are not clamped.
 
-The two closed kernels also take lists of floats and 0/1 ints, which the
-one-pair route passes as one-element lists. They choose by the type of mu: a
-list goes row by row through math on plain floats and gives a list of n
-tuples of 4 floats, anything else goes through numpy and gives an (n, 4)
-float64 ndarray. Each kernel's cells are written once, in a helper that takes
-sin, cos and, for the alternate form, where as arguments. The list route never
-imports numpy, so neither does a one-pair query.
+The four probability kernels also take lists of floats and 0/1 ints (brute
+force: a list of rows of 4 numbers for psi), which the one-pair routes pass
+as one-element lists. They choose by the type of mu: a list goes row by row
+through math and cmath on plain numbers and gives a list of n tuples of 4
+floats, anything else goes through numpy and gives an (n, 4) float64
+ndarray. Each kernel's cells are written once, in a helper that takes sin,
+cos and, as the kernel needs them, exp and where as arguments. The list
+route never imports numpy, so neither does a one-pair query. For the closed
+kernels it gives the ndarray route's bits wherever math and numpy round sin
+and cos alike. For the amplitude and brute-force kernels it can differ in
+the last bit or two: CPython's complex product rounds each of its two sums
+of products separately, where numpy's SIMD product may fuse them (FMA).
 
 Every function that builds arrays imports numpy itself, and the splitmix64
 constants are plain ints, so importing this module does not load numpy.
@@ -101,61 +107,72 @@ def closed_joint_alt_numpy(mu, eta, nu, zeta, s, t):
     return np.stack(_closed_alt_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos, np.where), axis=1)
 
 
-def amplitude_joint_numpy(mu, eta, nu, zeta, s, t):
-    """Joint probabilities from the two-term interference amplitudes."""
-    import numpy as np
-
-    cm, sm = np.cos(0.5 * mu), np.sin(0.5 * mu)
-    cn, sn = np.cos(0.5 * nu), np.sin(0.5 * nu)
-    tr_m = (cm, sm)
-    tr_n = (cn, sn)
-    ph_a = np.exp(-1j * eta)
-    ph_b = np.exp(-1j * zeta)
+def _amplitude_cells(mu, eta, nu, zeta, s, t, sin, cos, exp, where):
+    """Cells 0.5*|amp|^2 of the two-term interference amplitudes, in INDEX_ORDER."""
+    tr_m = (cos(0.5 * mu), sin(0.5 * mu))
+    tr_n = (cos(0.5 * nu), sin(0.5 * nu))
+    ph_a = exp(-1j * eta)
+    ph_b = exp(-1j * zeta)
     ph_ab = ph_a * ph_b
     sign_s = 1.0 - 2.0 * s
     t_is_0 = t == 0
-    out = np.empty((mu.shape[0], 4), dtype=np.float64)
-    col = 0
+    cells = []
     for k in (0, 1):
         sk = 1.0 - 2.0 * k
         for ell in (0, 1):
             sl = 1.0 - 2.0 * ell
             amp_t0 = (sk * sl) * ph_ab * (tr_m[k] * tr_n[ell]) + sign_s * (tr_m[1 - k] * tr_n[1 - ell])
             amp_t1 = sk * ph_a * (tr_m[k] * tr_n[1 - ell]) + (sign_s * sl) * ph_b * (tr_m[1 - k] * tr_n[ell])
-            amp = np.where(t_is_0, amp_t0, amp_t1)
-            out[:, col] = 0.5 * (amp.real * amp.real + amp.imag * amp.imag)
-            col += 1
-    return out
+            amp = where(t_is_0, amp_t0, amp_t1)
+            cells.append(0.5 * (amp.real * amp.real + amp.imag * amp.imag))
+    return tuple(cells)
 
 
-def _conjugate_frame(polar, azimuth):
-    """conj(u[k, a]) of the eigenvector frame u_0 = (e^-i*phi c, s), u_1 = (-e^-i*phi s, c); shape (2, 2, n)."""
+def _conjugate_frame(polar, azimuth, sin, cos, exp):
+    """conj(u[k][a]) of the eigenvector frame u_0 = (e^-i*phi c, s), u_1 = (-e^-i*phi s, c), row k first."""
+    c, sn = cos(0.5 * polar), sin(0.5 * polar)
+    phase = exp(1j * azimuth)
+    return (phase * c, sn), (-phase * sn, c)
+
+
+def _bruteforce_cells(mu, eta, nu, zeta, psi, sin, cos, exp):
+    """Cells |<u_k u_l|psi>|^2, in INDEX_ORDER, of the state entries psi[2a + b].
+
+    psi[a][b] is contracted with conj(u_b[l][b]) over b and then with
+    conj(u_a[k][a]) over a, each a two-term multiply-add of row values.
+    """
+    ua = _conjugate_frame(mu, eta, sin, cos, exp)
+    ub = _conjugate_frame(nu, zeta, sin, cos, exp)
+    state = (psi[0], psi[1]), (psi[2], psi[3])
+    half = [[ub[ell][0] * state[a][0] + ub[ell][1] * state[a][1] for a in (0, 1)] for ell in (0, 1)]
+    amps = [ua[k][0] * half[ell][0] + ua[k][1] * half[ell][1] for k in (0, 1) for ell in (0, 1)]
+    return tuple(amp.real * amp.real + amp.imag * amp.imag for amp in amps)
+
+
+def amplitude_joint_numpy(mu, eta, nu, zeta, s, t):
+    """Joint probabilities from the two-term interference amplitudes."""
+    if isinstance(mu, list):
+        import cmath
+
+        return [_amplitude_cells(*row, math.sin, math.cos, cmath.exp, _pick) for row in zip(mu, eta, nu, zeta, s, t)]
     import numpy as np
 
-    c, sn = np.cos(0.5 * polar), np.sin(0.5 * polar)
-    phase = np.exp(1j * azimuth)
-    frame = np.empty((2, 2, polar.shape[0]), dtype=np.complex128)
-    frame[0, 0] = phase * c
-    frame[0, 1] = sn
-    frame[1, 0] = -phase * sn
-    frame[1, 1] = c
-    return frame
+    return np.stack(_amplitude_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos, np.exp, np.where), axis=1)
 
 
 def bruteforce_joint_numpy(mu, eta, nu, zeta, psi):
-    """Born-rule probabilities |<u_k u_l|psi>|^2 against the eigenvector frame.
+    """Born-rule probabilities |<u_k u_l|psi>|^2 against the eigenvector frame; any state psi is accepted.
 
-    Struct-of-arrays form, the row index last: psi is read as psi[a, b, n],
-    contracted with conj(u_b[l, b]) over b and then with conj(u_a[k, a]) over
-    a, each a two-term broadcast multiply-add. Any state psi is accepted.
+    psi is an (n, 4) complex array, whose columns are the row values, or a
+    list of n rows of 4 numbers.
     """
-    n = mu.shape[0]
-    ua = _conjugate_frame(mu, eta)
-    ub = _conjugate_frame(nu, zeta)
-    state = psi.T.reshape(2, 2, n)
-    half = ub[:, None, 0] * state[None, :, 0] + ub[:, None, 1] * state[None, :, 1]  # [l, a, n]
-    amps = ua[:, None, 0] * half[None, :, 0] + ua[:, None, 1] * half[None, :, 1]  # [k, l, n]
-    return (amps.real * amps.real + amps.imag * amps.imag).reshape(4, n).T
+    if isinstance(mu, list):
+        import cmath
+
+        return [_bruteforce_cells(*row, math.sin, math.cos, cmath.exp) for row in zip(mu, eta, nu, zeta, psi)]
+    import numpy as np
+
+    return np.stack(_bruteforce_cells(mu, eta, nu, zeta, psi.T, np.sin, np.cos, np.exp), axis=1)
 
 
 def _draw_bound(c):

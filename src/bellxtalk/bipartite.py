@@ -11,24 +11,27 @@ path, cross-checked on every call against an alternate closed form in the
 half-angle sums.
 
 Batches go through the joint_*_batch wrappers, which validate the arrays and
-clamp. A single pair (joint_distribution_closed) calls the closed kernels
-directly on one-element lists, which they evaluate with math rather than
-numpy: the Observable and BellLabel constructors have validated its angles
-and bits, and JointDistribution checks and clamps the cells. The
-closed-variant cross-check runs on both routes, on the single pair's row as
-plain floats, and fails on a gap beyond CLOSED_VARIANT_TOL or a NaN.
+clamp. A single pair (joint_distribution_closed, _amplitude and
+_bruteforce) calls its kernels directly on one-element lists, which they
+evaluate with math and cmath rather than numpy: the Observable and BellLabel
+constructors have validated its angles and bits, joint_distribution_bruteforce
+checks psi in plain Python, and JointDistribution checks and clamps the
+cells. The closed-variant cross-check runs on both routes, on the single
+pair's row as plain floats, and fails on a gap beyond CLOSED_VARIANT_TOL or
+a NaN.
 
-Each piece of two-qubit algebra is written once, in struct-of-arrays form
-with the row index last: the lifts A tensor I and I tensor B (lift_first,
-lift_second, on a 2x2 operator or a (2, 2, n) stack), the lifted commutator
-norms (commutator_norms) and the brute-force kernel. The one-pair functions
-(commutator_norm, joint_distribution_bruteforce, bell_state) are one-row
-calls of them. commutator_norms lifts the four matrix units once per call
-and expands each row's commutator in their 16 commutators; when all 16 are
-zero, as with correct lifts, every finite row's norm is zero.
+Each piece of two-qubit algebra is written once, with the row index last:
+the lifts A tensor I and I tensor B (lift_first, lift_second, on a 2x2
+operator or a (2, 2, n) stack), the lifted commutator norms
+(commutator_norms) and the Bell-state entries (_bell_entries). The one-pair
+functions (commutator_norm, bell_state, bell_state_row) are one-row calls of
+them. commutator_norms lifts the four matrix units once per call and expands
+each row's commutator in their 16 commutators; when all 16 are zero, as with
+correct lifts, every finite row's norm is zero.
 
-A single pair through joint_distribution_closed never imports numpy; every
-function that builds arrays imports it itself.
+A single pair through any of the three routes never imports numpy, given
+bell_state_row rather than bell_state for brute force; every function that
+builds arrays imports it itself.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels, observables
-from .observables import TWO_PI, Observable, eigenvector, matrices
+from .observables import TWO_PI, Observable, bit_value, eigenvector, matrices
 
 #: fixed cell order for joint outcomes (k, l); all arrays and CSV output use it
 INDEX_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -78,8 +81,8 @@ class BellLabel:
     t: int
 
     def __post_init__(self) -> None:
-        if self.s not in (0, 1) or self.t not in (0, 1):
-            raise ValueError(f"bell label bits must be 0 or 1, got ({self.s}, {self.t})")
+        object.__setattr__(self, "s", bit_value(self.s, "bell label bit s"))
+        object.__setattr__(self, "t", bit_value(self.t, "bell label bit t"))
 
 
 @dataclass(frozen=True)
@@ -136,9 +139,21 @@ class OutcomeFrame:
         return self.vectors[2 * k + ell]
 
 
+def _bell_entries(s, t, where):
+    """Amplitudes of (|0 t> + (-1)^s |1 (t+1)>)/sqrt(2) at the basis states 00, 01, 10, 11."""
+    amp = 1.0 / math.sqrt(2.0)
+    second = where(s == 1, -amp, amp)
+    return where(t == 0, amp, 0.0), where(t == 1, amp, 0.0), where(t == 1, second, 0.0), where(t == 0, second, 0.0)
+
+
 def bell_state(label: BellLabel) -> np.ndarray:
     """State vector (|0 t> + (-1)^s |1 (t+1)>)/sqrt(2) in the product basis."""
     return bell_state_batch([label.s], [label.t])[0]
+
+
+def bell_state_row(label: BellLabel) -> tuple[float, float, float, float]:
+    """bell_state's 4 entries as plain floats, without numpy."""
+    return _bell_entries(label.s, label.t, _kernels._pick)
 
 
 def bell_state_batch(s, t) -> np.ndarray:
@@ -147,19 +162,14 @@ def bell_state_batch(s, t) -> np.ndarray:
 
     n = len(s)
     s, t = _validated_bits(s, n, "s"), _validated_bits(t, n, "t")
-    amp = 1.0 / math.sqrt(2.0)
-    psi = np.zeros((n, 4), dtype=np.complex128)
-    rows = np.arange(n)
-    psi[rows, t] = amp
-    psi[rows, 2 + (t + 1) % 2] = np.where(s == 1, -amp, amp)
-    return psi
+    return np.stack(_bell_entries(s, t, np.where), axis=1, dtype=np.complex128)
 
 
 def _operator(m) -> np.ndarray:
-    """m as complex128, checked to be a finite 2x2 matrix or a (2, 2, n) stack."""
+    """m as complex128, checked to hold numbers and to be a finite 2x2 matrix or a (2, 2, n) stack."""
     import numpy as np
 
-    m = np.asarray(m, dtype=np.complex128)
+    m = _numeric(m, "matrix", "biufc").astype(np.complex128)
     if m.ndim not in (2, 3) or m.shape[:2] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix or a (2, 2, n) stack, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -201,25 +211,50 @@ def joint_distribution_bruteforce(pair: ObservablePair, psi) -> JointDistributio
     """Born-rule probabilities |<frame_kl|psi>|^2 for an arbitrary unit state.
 
     Reference oracle for the amplitude and closed-form routes: one row of the
-    brute-force kernel, on the pair's angles and psi.
+    brute-force kernel, called on one-element lists of the pair's angles and
+    psi's entries, so it evaluates the row with math and cmath (see
+    joint_distribution_closed). psi is checked in plain Python: a vector of
+    4 numbers (an ndarray, list or tuple), finite, with unit norm.
     """
-    import numpy as np
+    psi = _state_entries(psi)
+    row = _kernels.bruteforce_joint([pair.a.mu], [pair.a.eta], [pair.b.mu], [pair.b.eta], [psi])[0]
+    return JointDistribution(row)
 
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (4,):
-        raise ValueError(f"psi must be a vector of length 4, got shape {psi.shape}")
-    if not np.isfinite(psi).all():
+
+def _state_entries(psi) -> list[complex]:
+    """psi's 4 entries as complex numbers, checked to be finite numbers of unit norm."""
+    shape = getattr(psi, "shape", None)
+    if shape is None:
+        if isinstance(psi, (str, bytes)) or psi is None:
+            raise TypeError(f"psi must hold numbers, not {type(psi).__name__}")
+        shape = (len(psi),) if hasattr(psi, "__len__") else ()
+    if tuple(shape) != (4,):
+        raise ValueError(f"psi must be a vector of length 4, got shape {tuple(shape)}")
+    entries = []
+    for x in psi:
+        try:
+            if isinstance(x, (str, bytes)):  # complex() would parse them
+                raise TypeError
+            entries.append(complex(x))
+        except TypeError:
+            raise TypeError(f"psi must hold numbers, not {type(x).__name__}") from None
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in entries):
         raise ValueError("psi has non-finite components")
-    norm = float(np.linalg.norm(psi))
+    norm = math.hypot(*(part for z in entries for part in (z.real, z.imag)))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector has norm {norm}, expected 1")
-    row = _kernels.bruteforce_joint(*_angle_arrays(pair), psi[np.newaxis, :])[0]
-    return JointDistribution(tuple(row.tolist()))
+    return entries
 
 
 def joint_distribution_amplitude(pair: ObservablePair, label: BellLabel) -> JointDistribution:
-    """Joint probabilities from the interference amplitude formula."""
-    return JointDistribution(tuple(joint_amplitude_batch(*_point_row(pair, label))[0]))
+    """Joint probabilities from the interference amplitude formula.
+
+    One row of the amplitude kernel on one-element lists, evaluated with
+    math and cmath, as joint_distribution_closed does with the closed
+    kernels; JointDistribution checks and clamps, and an ndarray row from a
+    kernel that returns an (n, 4) array is taken as well.
+    """
+    return JointDistribution(_kernels.amplitude_joint(*_point_row(pair, label))[0])
 
 
 def joint_distribution_closed(pair: ObservablePair, label: BellLabel) -> JointDistribution:
@@ -318,12 +353,12 @@ def _point_row(pair: ObservablePair, label: BellLabel):
 ANGLE_BOUNDS = {"mu": math.pi, "eta": TWO_PI, "nu": math.pi, "zeta": TWO_PI}
 
 
-def _numeric(values, name: str) -> np.ndarray:
-    """values as an array of bools, integers or floats; np.asarray would also take text and bytes."""
+def _numeric(values, name: str, kinds: str = "biuf") -> np.ndarray:
+    """values as an array of a dtype kind in kinds (by default bools, integers, floats); np.asarray takes text too."""
     import numpy as np
 
     arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":
+    if arr.dtype.kind not in kinds:
         raise TypeError(f"{name} must hold numbers, not {arr.dtype}")
     return arr
 
@@ -406,7 +441,7 @@ def joint_bruteforce_batch(mu, eta, nu, zeta, psi) -> np.ndarray:
     import numpy as np
 
     mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
-    psi = np.ascontiguousarray(psi, dtype=np.complex128)
+    psi = np.ascontiguousarray(_numeric(psi, "psi", "biufc"), dtype=np.complex128)
     if psi.shape != (mu.shape[0], 4):
         raise ValueError(f"psi must have shape ({mu.shape[0]}, 4), got {psi.shape}")
     return np.clip(_kernels.bruteforce_joint(mu, eta, nu, zeta, psi), 0.0, 1.0)

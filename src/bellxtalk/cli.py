@@ -13,9 +13,9 @@ pass per column of a block.
 
 Importing this module loads the stdlib modules it needs and bipartite,
 information, observables and _kernels, but not numpy. Each command imports
-the rest itself: numpy in every function that builds arrays (probs only for
---method amplitude, brute or all, and never on the closed route), _text for
-the first sweep block written, tempfile for sweep --out, independence for
+the rest itself: numpy in every function that builds arrays (never in probs,
+on any --method, which runs one pair through math and cmath), _text for the
+first sweep block written, tempfile for sweep --out, independence for
 independence and sampler for sample.
 """
 
@@ -108,7 +108,7 @@ def cmd_probs(args) -> int:
     methods = {
         "closed": lambda: bipartite.joint_distribution_closed(pair, label),
         "amplitude": lambda: bipartite.joint_distribution_amplitude(pair, label),
-        "brute": lambda: bipartite.joint_distribution_bruteforce(pair, bipartite.bell_state(label)),
+        "brute": lambda: bipartite.joint_distribution_bruteforce(pair, bipartite.bell_state_row(label)),
     }
     wanted = list(methods) if args.method == "all" else [args.method]
     dists = {name: methods[name]() for name in wanted}

@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import bipartite, information
 from .bipartite import BellLabel, ObservablePair
-from .observables import TWO_PI, Plane, angle_value, classify_plane, require_tolerance
+from .observables import TWO_PI, Plane, angle_value, bit_value, classify_plane, require_tolerance
 
 DEFAULT_ANGLE_TOL = 1e-9
 ROOT_THETA_TOL = 1e-10
@@ -96,18 +96,12 @@ def _check_range(value: float, hi: float, name: str) -> float:
     return value
 
 
-def _check_bit(value: int, name: str) -> int:
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value}")
-    return int(value)
-
-
 def _holds(plane: Plane, first: tuple[str, float], second: tuple[str, float], tol: float, s=None, t=None) -> bool:
     """The plane's predicate on two (name, angle) pairs; checks the angles, the bits given, then tol."""
     hi = _HALF_TURNS[_PLANES.index(plane)] * math.pi
     x, y = _check_range(first[1], hi, first[0]), _check_range(second[1], hi, second[0])
-    s = 0 if s is None else _check_bit(s, "s")
-    t = 0 if t is None else _check_bit(t, "t")
+    s = 0 if s is None else bit_value(s, "s")
+    t = 0 if t is None else bit_value(t, "t")
     is_sum, targets, _ = _rule(plane, s, t)
     require_tolerance(tol, "angle tolerance")
     value = x + y if is_sum else abs(x - y)

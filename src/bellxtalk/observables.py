@@ -18,6 +18,7 @@ IDENTITY2 are built on first access, through the module __getattr__, and kept.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,6 +57,17 @@ def angle_value(value, name: str) -> float:
     if not (hasattr(kind, "__float__") or hasattr(kind, "__index__")):
         raise TypeError(f"{name} must be a number, not {kind.__name__}")
     return float(value)
+
+
+def bit_value(value, name: str) -> int:
+    """value as a plain int, if it is an integer 0 or 1: a float such as 1.0 is refused, not truncated."""
+    try:
+        bit = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer 0 or 1, not {type(value).__name__}") from None
+    if bit not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {bit}")
+    return int(bit)
 
 
 def require_tolerance(tol, name: str = "tolerance") -> None:

@@ -85,6 +85,25 @@ class TestBellStates:
         with pytest.raises(ValueError):
             BellLabel(0, -1)
 
+    @pytest.mark.parametrize("bad", [1.0, np.float64(1.0), 0.5, "1", None], ids=repr)
+    def test_label_bits_must_be_integers(self, bad):
+        with pytest.raises(TypeError, match="bell label bit s must be an integer 0 or 1"):
+            BellLabel(bad, 0)
+        with pytest.raises(TypeError, match="bell label bit t must be an integer 0 or 1"):
+            BellLabel(0, bad)
+
+    def test_label_stores_plain_ints(self):
+        label = BellLabel(np.int64(1), True)
+        assert (label.s, label.t) == (1, 1)
+        assert type(label.s) is int and type(label.t) is int
+
+    def test_row_form_matches_the_array(self):
+        for s in (0, 1):
+            for t in (0, 1):
+                row = bipartite.bell_state_row(BellLabel(s, t))
+                assert len(row) == 4 and all(type(x) is float for x in row)
+                assert np.array_equal(np.array(row, dtype=complex), bell_state(BellLabel(s, t)))
+
     @pytest.mark.parametrize("s,t,name", [([2], [0], "s"), ([0], [2], "t"), ([0], [5], "t"), ([0.5], [0], "s")])
     def test_batch_rejects_bits_outside_zero_one(self, s, t, name):
         with pytest.raises(ValueError, match=f"{name} entries must be 0 or 1"):
@@ -118,6 +137,13 @@ class TestLifts:
         for n in range(9):
             assert np.array_equal(first[:, :, n], np.kron(stack[:, :, n], IDENTITY2))
             assert np.array_equal(second[:, :, n], np.kron(IDENTITY2, stack[:, :, n]))
+
+    @pytest.mark.parametrize("bad", [[["1", "0"], ["0", "-1"]], np.array([[b"1", b"0"], [b"0", b"1"]]),
+                                     [[1, None], [0, 1]]], ids=repr)
+    def test_rejects_text_and_none(self, bad):
+        for lift in (lift_first, lift_second):
+            with pytest.raises(TypeError, match="matrix must hold numbers"):
+                lift(bad)
 
     def test_rejects_wrong_shape_and_non_finite(self):
         bad = [np.eye(3), np.zeros(4), np.zeros((2, 3, 5)), np.array([[np.nan, 0], [0, 1]]),
@@ -231,17 +257,49 @@ class TestBruteForce:
             with pytest.raises(ValueError, match="length 4"):
                 joint_distribution_bruteforce(pair_of(0, 0, 0, 0), psi)
 
+    @pytest.mark.parametrize("psi", [
+        ["0.7071067811865475", "0", "0", "0.7071067811865475"],
+        (SQRT_HALF, 0, b"0", SQRT_HALF),
+        np.array(["1", "0", "0", "0"]),
+        [SQRT_HALF, None, 0, SQRT_HALF],
+        None,
+        "1000",
+        b"1000",
+    ], ids=repr)
+    def test_rejects_text_and_none(self, psi):
+        with pytest.raises(TypeError, match="psi must hold numbers"):
+            joint_distribution_bruteforce(pair_of(0.3, 1.0, 2.0, 4.0), psi)
+
+    def test_takes_lists_tuples_and_arrays_alike(self):
+        pair = pair_of(0.4, 1.3, 2.1, 5.0)
+        expected = joint_distribution_bruteforce(pair, bell_state(BellLabel(1, 0)))
+        for psi in ([SQRT_HALF, 0, 0, -SQRT_HALF], (SQRT_HALF, 0.0, 0j, -SQRT_HALF),
+                    bipartite.bell_state_row(BellLabel(1, 0)), np.array([SQRT_HALF, 0, 0, -SQRT_HALF])):
+            assert joint_distribution_bruteforce(pair, psi) == expected
+
     def test_one_kernel_call_per_pair(self, monkeypatch):
         calls = []
         kernel = _kernels.bruteforce_joint
 
         def counted(*args):
-            calls.append(args[0].shape)
+            calls.append(len(args[0]))
             return kernel(*args)
 
         monkeypatch.setattr(_kernels, "bruteforce_joint", counted)
         joint_distribution_bruteforce(pair_of(0.4, 1.3, 2.1, 5.0), bell_state(BellLabel(1, 0)))
-        assert calls == [(1,)]
+        assert calls == [1]
+
+
+@pytest.mark.parametrize("name, route, state", [
+    ("amplitude_joint", joint_distribution_amplitude, lambda label: label),
+    ("bruteforce_joint", joint_distribution_bruteforce, bell_state),
+], ids=["amplitude", "brute"])
+def test_point_route_takes_an_ndarray_row_from_a_patched_kernel(monkeypatch, name, route, state):
+    kernel = getattr(_kernels, name)
+    pair, label = pair_of(0.4, 1.3, 2.1, 5.0), BellLabel(1, 1)
+    expected = route(pair, state(label))
+    monkeypatch.setattr(_kernels, name, lambda *args: np.array(kernel(*args)))
+    assert route(pair, state(label)) == expected
 
 
 class TestAmplitudeMethod:
@@ -309,7 +367,9 @@ class TestThreeWayAgreement:
                 np.array([mu]), np.array([eta]), np.array([nu]), np.array([zeta]),
                 bell_state(label)[np.newaxis, :],
             )[0]
-            assert np.array_equal(np.array(brute_scalar.p), brute_row)
+            # one pair evaluates brute force with cmath, whose complex product
+            # rounds without FMA: the rows agree within an ulp or two, not bit for bit
+            assert np.abs(np.array(brute_scalar.p) - brute_row).max() <= 1e-15
 
 
 class TestMarginals:
@@ -658,6 +718,12 @@ class TestBatchValidation:
             joint_closed_batch(*angles.values(), [0], [0])
         with pytest.raises(TypeError, match=f"{name} must hold numbers"):
             joint_bruteforce_batch(*angles.values(), bell_state_batch([0], [0]))
+
+    @pytest.mark.parametrize("bad", [[[SQRT_HALF, "0", "0", SQRT_HALF]], [[b"1", 0, 0, 0]], [[1, None, 0, 0]]],
+                             ids=repr)
+    def test_text_states_raise_type_error(self, bad):
+        with pytest.raises(TypeError, match="psi must hold numbers"):
+            joint_bruteforce_batch([1.0], [1.0], [1.0], [1.0], bad)
 
     def test_psi_shape(self):
         z = np.zeros(2)

@@ -63,6 +63,26 @@ class TestProbs:
         line = next(l for l in out.splitlines() if "discrepancy" in l)
         assert float(line.split("=")[1]) <= 1e-12
 
+    def test_method_all_shows_a_planted_amplitude_fault(self, capsys, monkeypatch):
+        # a kernel that swaps two cells, and answers the one-pair lists with an ndarray
+        kernel = bipartite._kernels.amplitude_joint
+        calls = []
+
+        def swapped(*args):
+            calls.append(type(args[0]))
+            out = np.array(kernel(*args))
+            out[:, [0, 1]] = out[:, [1, 0]]
+            return out
+
+        monkeypatch.setattr(bipartite._kernels, "amplitude_joint", swapped)
+        code, out, _ = run_cli(
+            capsys, "probs", "--mu", "1.1", "--eta", "2.2", "--nu", "0.7", "--zeta", "5.5",
+            "--s", "1", "--t", "1", "--method", "all",
+        )
+        assert code == 0 and calls == [list]
+        line = next(l for l in out.splitlines() if "discrepancy" in l)
+        assert float(line.split("=")[1]) >= 1e-3
+
     def test_method_brute_matches_closed(self, capsys):
         args = ["--mu", "0.9", "--eta", "1.2", "--nu", "2.0", "--zeta", "0.3", "--s", "0", "--t", "1"]
         _, out_closed, _ = run_cli(capsys, "probs", *args, "--method", "closed")
@@ -421,7 +441,11 @@ BLOCK = cli.SWEEP_BLOCK_ROWS
 
 #: `probs --method all` stdout, pinned byte for byte: a generic point, poles
 #: with azimuth 2*pi (printed as 0), A = +y, B = -x, which lie on the
-#: boundaries between the coordinate planes, and a point that is clamped
+#: boundaries between the coordinate planes, and a point that is clamped.
+#: The discrepancy line compares the closed row with the amplitude and
+#: brute-force rows, which one pair evaluates with cmath: CPython's complex
+#: product rounds without FMA, so that line may differ from an ndarray
+#: evaluation of the same rows in its last digit
 GOLDEN_PROBS = [
     (("--mu", "1.234", "--eta", "4.321", "--nu", "2.468", "--zeta", "0.987", "--s", "1", "--t", "0"), """\
 observable A: mu=1.234 eta=4.3209999999999997
@@ -438,7 +462,7 @@ entropy     = 1.2013606472258467 nats
 mutual_info = 0.18493371389404384 nats
 degree      = 0.26680295192811543
 independent = no (tol 1.0000000000000001e-09)
-max pairwise method discrepancy = 1.665e-16
+max pairwise method discrepancy = 2.220e-16
 """),
     (("--mu", "0", "--eta", TWO_PI_STR, "--nu", PI_STR, "--zeta", TWO_PI_STR, "--s", "0", "--t", "1"), """\
 observable A: mu=0 eta=0

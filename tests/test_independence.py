@@ -82,6 +82,17 @@ class TestPredicates:
         with pytest.raises(ValueError):
             condition_x_plane(0.1, 0.5, s=0, tol=0.0)
 
+    @pytest.mark.parametrize("bad", [1.0, np.float64(1.0), 0.5], ids=repr)
+    def test_bits_must_be_integers(self, bad):
+        with pytest.raises(TypeError, match="s must be an integer 0 or 1"):
+            condition_x_plane(0.5, 1.0, bad)
+        with pytest.raises(TypeError, match="t must be an integer 0 or 1"):
+            condition_y_plane(0.5, 1.0, 0, bad)
+
+    def test_integer_bits_of_any_type_are_accepted(self):
+        assert condition_x_plane(PI / 4, PI / 4, np.int64(0))  # sum pi/2
+        assert condition_z_plane(HALF_PI, 0.0, True)          # diff pi/2
+
     def test_symmetric_under_swap(self):
         rng = np.random.default_rng(47)
         for _ in range(200):

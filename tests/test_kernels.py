@@ -1,5 +1,5 @@
 """The numpy kernels: brute force and the sampler against independent references, the
-closed kernels' one-row math path against their ndarray path, and what the package imports."""
+probability kernels' one-row math path against their ndarray path, and what the package imports."""
 
 import math
 import os
@@ -102,14 +102,32 @@ def test_sampler_chunking_consistent():
 
 
 CLOSED_KERNELS = ["closed_joint", "closed_joint_alt"]
+#: their list route multiplies complex numbers in CPython, which rounds without
+#: FMA where numpy's SIMD product may use it, so it is held within 1e-15, not to the bit
+ORACLE_KERNELS = ["amplitude_joint", "bruteforce_joint"]
 POLAR = st.floats(0.0, math.pi) | st.sampled_from(EDGE_POLAR)
 AZIMUTH = st.floats(0.0, 2 * math.pi) | st.sampled_from(EDGE_AZIMUTH)
+ROWS = st.lists(st.tuples(POLAR, AZIMUTH, POLAR, AZIMUTH, st.sampled_from(LABELS)), min_size=2, max_size=8)
 
 
-def _one_row_calls(kernel, mu, eta, nu, zeta, s, t):
+def _columns(rows):
+    """mu, eta, nu, zeta, s, t arrays of hypothesis rows (mu, eta, nu, zeta, (s, t))."""
+    mu, eta, nu, zeta = (np.array(column) for column in list(zip(*rows))[:4])
+    s, t = (np.array(bits, dtype=np.int64) for bits in zip(*(row[4] for row in rows)))
+    return mu, eta, nu, zeta, s, t
+
+
+def _kernel_args(name, mu, eta, nu, zeta, s, t):
+    """The kernel's arguments for these rows: brute force takes the Bell states of s, t for the bits."""
+    if name == "bruteforce_joint":
+        return mu, eta, nu, zeta, bipartite.bell_state_batch(s, t)
+    return mu, eta, nu, zeta, s, t
+
+
+def _one_row_calls(kernel, *arrays):
     """kernel on one-element lists, row by row; each call must give a list of one tuple of 4 floats."""
     rows = []
-    for row in zip(mu.tolist(), eta.tolist(), nu.tolist(), zeta.tolist(), s.tolist(), t.tolist()):
+    for row in zip(*(a.tolist() for a in arrays)):
         out = kernel(*([x] for x in row))
         assert isinstance(out, list) and len(out) == 1
         assert isinstance(out[0], tuple) and len(out[0]) == 4 and all(type(x) is float for x in out[0])
@@ -123,12 +141,11 @@ def _hex_rows(rows):
 
 @pytest.mark.parametrize("name", CLOSED_KERNELS)
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.tuples(POLAR, AZIMUTH, POLAR, AZIMUTH, st.sampled_from(LABELS)), min_size=2, max_size=8))
+@given(rows=ROWS)
 def test_one_row_lists_match_the_ndarray_path(name, rows):
     kernel = getattr(_kernels, name)
-    mu, eta, nu, zeta = (np.array(column) for column in list(zip(*rows))[:4])
-    s, t = (np.array(bits, dtype=np.int64) for bits in zip(*(row[4] for row in rows)))
-    assert _hex_rows(_one_row_calls(kernel, mu, eta, nu, zeta, s, t)) == _hex_rows(kernel(mu, eta, nu, zeta, s, t))
+    columns = _columns(rows)
+    assert _hex_rows(_one_row_calls(kernel, *columns)) == _hex_rows(kernel(*columns))
 
 
 @pytest.mark.parametrize("name", CLOSED_KERNELS)
@@ -139,13 +156,38 @@ def test_one_row_lists_match_the_ndarray_path_on_edge_grid(name):
     assert _hex_rows(_one_row_calls(kernel, *grid)) == _hex_rows(kernel(*grid))
 
 
-@pytest.mark.parametrize("name", CLOSED_KERNELS)
+@pytest.mark.parametrize("name", ORACLE_KERNELS)
+@settings(max_examples=200, deadline=None)
+@given(rows=ROWS)
+def test_oracle_one_row_lists_match_the_ndarray_path(name, rows):
+    kernel = getattr(_kernels, name)
+    args = _kernel_args(name, *_columns(rows))
+    assert np.abs(np.array(_one_row_calls(kernel, *args)) - kernel(*args)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", ORACLE_KERNELS)
+def test_oracle_one_row_lists_match_the_ndarray_path_on_edge_grid(name):
+    kernel = getattr(_kernels, name)
+    args = _kernel_args(name, *_edge_grid(EDGE_POLAR, EDGE_AZIMUTH))
+    assert np.abs(np.array(_one_row_calls(kernel, *args)) - kernel(*args)).max() <= 1e-15
+
+
+def test_bruteforce_one_row_lists_match_the_ndarray_path_on_non_bell_states():
+    rng = np.random.default_rng(12)
+    angles = _random_angles(rng, 2000)
+    psi = rng.normal(size=(2000, 4)) + 1j * rng.normal(size=(2000, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    rows = _one_row_calls(_kernels.bruteforce_joint, *angles, psi)
+    assert np.abs(np.array(rows) - _kernels.bruteforce_joint(*angles, psi)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", CLOSED_KERNELS + ORACLE_KERNELS)
 @pytest.mark.parametrize("n", [0, 1, 3])
-def test_closed_kernels_return_n_by_4_arrays(name, n):
+def test_probability_kernels_return_n_by_4_arrays(name, n):
     # ndarrays give an (n, 4) ndarray, lists a list of n tuples of 4 floats
     kernel = getattr(_kernels, name)
     rng = np.random.default_rng(n)
-    arrays = (*_random_angles(rng, n), rng.integers(0, 2, n), rng.integers(0, 2, n))
+    arrays = _kernel_args(name, *_random_angles(rng, n), rng.integers(0, 2, n), rng.integers(0, 2, n))
     out = kernel(*arrays)
     assert isinstance(out, np.ndarray) and out.shape == (n, 4) and out.dtype == np.float64
     rows = kernel(*(a.tolist() for a in arrays))
@@ -182,12 +224,17 @@ print(",".join(sorted(wanted)))
 """
 
 
-def test_package_asks_for_no_dependency_but_numpy():
-    # importing the CLI asks for nothing outside the stdlib, and the command
-    # that runs every route asks for numpy alone: it may not even try an
-    # optional accelerator, whether or not one is installed
+@pytest.mark.parametrize("argv, wanted", [
+    (("probs", "--method", "all"), ""),
+    (("verify", "--samples", "3"), "numpy"),
+], ids=["probs --method all", "verify --samples 3"])
+def test_package_asks_for_no_dependency_but_numpy(argv, wanted):
+    # importing the CLI asks for nothing outside the stdlib; one pair on every
+    # route asks for nothing more, and the command that runs every batch route
+    # asks for numpy alone: it may not even try an optional accelerator,
+    # whether or not one is installed
     src = os.path.dirname(os.path.dirname(_kernels.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, "probs", "--method", "all"], env=env,
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.split("\n") == ["", "numpy", ""]
+    assert result.stdout.split("\n") == ["", wanted, ""]

@@ -1,8 +1,8 @@
 """What a cold start loads: each test runs its probe in a fresh interpreter.
 
 Importing the CLI and building its parser loads no numpy and no module that
-only some commands run; probs on the closed route and independence never
-load numpy; the package resolves its exports on first use.
+only some commands run; probs, on every route, and independence never load
+numpy; the package resolves its exports on first use.
 """
 
 import os
@@ -50,6 +50,9 @@ def test_importing_the_cli_defers_numpy_and_the_command_modules():
 @pytest.mark.parametrize("argv", [
     ("probs",),
     ("probs", "--method", "closed", "--mu", "1.2", "--eta", "6.283185307179586", "--s", "1"),
+    ("probs", "--method", "amplitude", "--mu", "0.4", "--eta", "2.5", "--nu", "1.9", "--t", "1"),
+    ("probs", "--method", "brute", "--nu", "3.141592653589793", "--zeta", "4.1", "--s", "1", "--t", "1"),
+    ("probs", "--method", "all"),
     ("independence", "--plane", "x0", "--s", "0", "--t", "1", "--mu", "0.3"),
     ("independence", "--plane", "z0", "--s", "1", "--t", "1", "--eta", "90", "--deg"),
 ], ids=" ".join)
@@ -58,7 +61,6 @@ def test_one_pair_commands_never_import_numpy(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("probs", "--method", "all"),
     ("sweep", "--vary", "mu=0:1:3"),
     ("verify", "--samples", "3"),
     ("sample", "--n", "10"),
