@@ -1,8 +1,7 @@
 """Vectorized numpy kernels for the hot numeric paths.
 
-Each kernel is defined as ``<name>_numpy`` and exported under the plain name
-(``closed_joint``, ``closed_joint_alt``, ``amplitude_joint``,
-``bruteforce_joint``, ``sample_counts``), which callers look up through this
+Callers look each kernel (``closed_joint``, ``closed_joint_alt``,
+``amplitude_joint``, ``bruteforce_joint``, ``sample_counts``) up through this
 module.
 
 ``closed_joint`` is the production path: the correlation form (1 +- c)/4
@@ -30,19 +29,19 @@ through math and cmath on plain numbers and gives a list of n tuples of 4
 floats, anything else goes through numpy and gives an (n, 4) float64
 ndarray. Each kernel's cells are written once, in a helper that takes sin,
 cos and, as the kernel needs them, exp and where as arguments. The list
-route never imports numpy, so neither does a one-pair query. For the closed
-kernels it gives the ndarray route's bits wherever math and numpy round sin
-and cos alike. For the amplitude and brute-force kernels it can differ in
-the last bit or two: CPython's complex product rounds each of its two sums
-of products separately, where numpy's SIMD product may fuse them (FMA).
-
-Every function that builds arrays imports numpy itself, and the splitmix64
-constants are plain ints, so importing this module does not load numpy.
+route touches no numpy name, so it never loads numpy (see _np). For the
+closed kernels it gives the ndarray route's bits wherever math and numpy
+round sin and cos alike. For the amplitude and brute-force kernels it can
+differ in the last bit or two: CPython's complex product rounds each of its
+two sums of products separately, where numpy's SIMD product may fuse them
+(FMA).
 """
 
 from __future__ import annotations
 
 import math
+
+from . import _np as np
 
 # splitmix64 constants; draw i uses the mix of seed + (i+1)*GAMMA (mod 2^64)
 _GAMMA = 0x9E3779B97F4A7C15
@@ -89,21 +88,17 @@ def _pick(condition, if_true, if_false):
     return if_true if condition else if_false
 
 
-def closed_joint_numpy(mu, eta, nu, zeta, s, t):
+def closed_joint(mu, eta, nu, zeta, s, t):
     """Joint probabilities (1 +- c)/4 from the correlation c = a.S b of the Bloch vectors."""
     if isinstance(mu, list):
         return [_closed_cells(*row, math.sin, math.cos) for row in zip(mu, eta, nu, zeta, s, t)]
-    import numpy as np
-
     return np.stack(_closed_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos), axis=1)
 
 
-def closed_joint_alt_numpy(mu, eta, nu, zeta, s, t):
+def closed_joint_alt(mu, eta, nu, zeta, s, t):
     """Closed forms in the half-angle sums; the every-call cross-check of closed_joint."""
     if isinstance(mu, list):
         return [_closed_alt_cells(*row, math.sin, math.cos, _pick) for row in zip(mu, eta, nu, zeta, s, t)]
-    import numpy as np
-
     return np.stack(_closed_alt_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos, np.where), axis=1)
 
 
@@ -149,18 +144,16 @@ def _bruteforce_cells(mu, eta, nu, zeta, psi, sin, cos, exp):
     return tuple(amp.real * amp.real + amp.imag * amp.imag for amp in amps)
 
 
-def amplitude_joint_numpy(mu, eta, nu, zeta, s, t):
+def amplitude_joint(mu, eta, nu, zeta, s, t):
     """Joint probabilities from the two-term interference amplitudes."""
     if isinstance(mu, list):
         import cmath
 
         return [_amplitude_cells(*row, math.sin, math.cos, cmath.exp, _pick) for row in zip(mu, eta, nu, zeta, s, t)]
-    import numpy as np
-
     return np.stack(_amplitude_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos, np.exp, np.where), axis=1)
 
 
-def bruteforce_joint_numpy(mu, eta, nu, zeta, psi):
+def bruteforce_joint(mu, eta, nu, zeta, psi):
     """Born-rule probabilities |<u_k u_l|psi>|^2 against the eigenvector frame; any state psi is accepted.
 
     psi is an (n, 4) complex array, whose columns are the row values, or a
@@ -170,8 +163,6 @@ def bruteforce_joint_numpy(mu, eta, nu, zeta, psi):
         import cmath
 
         return [_bruteforce_cells(*row, math.sin, math.cos, cmath.exp) for row in zip(mu, eta, nu, zeta, psi)]
-    import numpy as np
-
     return np.stack(_bruteforce_cells(mu, eta, nu, zeta, psi.T, np.sin, np.cos, np.exp), axis=1)
 
 
@@ -189,15 +180,13 @@ def _draw_bound(c):
     return (math.floor(c * 2.0 ** 53) << 11) | 2047
 
 
-def sample_counts_numpy(cdf, n, seed):
+def sample_counts(cdf, n, seed):
     """Inverse-CDF counts for n splitmix64 draws, in chunks of _SAMPLE_CHUNK.
 
     Each draw is compared as an integer with one precomputed bound per cdf
     entry (see _draw_bound), so no draw is converted to float. Mixing runs in
     place in buffers allocated once per call and sized to stay in cache.
     """
-    import numpy as np
-
     gamma, mix1, mix2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
     shift30, shift27, shift31 = np.uint64(30), np.uint64(27), np.uint64(31)
     bounds = [_draw_bound(float(c)) for c in cdf[:3]]
@@ -230,8 +219,6 @@ def sample_counts_numpy(cdf, n, seed):
     return np.array([le0, le1 - le0, le2 - le1, n - le2], dtype=np.int64)
 
 
-closed_joint = closed_joint_numpy
-closed_joint_alt = closed_joint_alt_numpy
-amplitude_joint = amplitude_joint_numpy
-bruteforce_joint = bruteforce_joint_numpy
-sample_counts = sample_counts_numpy
+#: only for perfbench's test_removed_function_is_absent_not_fatal, which checks
+#: that the tracer puts closed_joint back by comparing it with this name
+closed_joint_numpy = closed_joint

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
+from . import _np as np
 
 #: widest fast-path text: "0.000" and 17 digits
 _WIDTH = 22

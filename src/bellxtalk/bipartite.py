@@ -29,9 +29,9 @@ them. commutator_norms lifts the four matrix units once per call and expands
 each row's commutator in their 16 commutators; when all 16 are zero, as with
 correct lifts, every finite row's norm is zero.
 
-A single pair through any of the three routes never imports numpy, given
-bell_state_row rather than bell_state for brute force; every function that
-builds arrays imports it itself.
+A single pair through any of the three routes uses no numpy name, given
+bell_state_row rather than bell_state for brute force, so it loads no numpy
+(see _np).
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels, observables
-from .observables import TWO_PI, Observable, bit_value, eigenvector, matrices
+from . import _np as np
+from .observables import TWO_PI, Observable, bit_value, eigenvector, matrices, require_tolerance
 
 #: fixed cell order for joint outcomes (k, l); all arrays and CSV output use it
 INDEX_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -105,6 +106,9 @@ class JointDistribution:
     p: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
+        for x in self.p:
+            if type(x) is not float and isinstance(x, (str, bytes)):  # float() would parse them
+                raise TypeError(f"probabilities must be numbers, not {type(x).__name__}")
         values = tuple(map(float, self.p))
         if len(values) != 4:
             raise ValueError(f"expected 4 probabilities, got {len(values)}")
@@ -119,13 +123,9 @@ class JointDistribution:
         object.__setattr__(self, "p", values)
 
     def probability(self, k: int, ell: int) -> float:
-        if k not in (0, 1) or ell not in (0, 1):
-            raise ValueError("outcome indices must be 0 or 1")
-        return self.p[2 * k + ell]
+        return self.p[2 * bit_value(k, "outcome index k") + bit_value(ell, "outcome index l")]
 
     def as_array(self) -> np.ndarray:
-        import numpy as np
-
         return np.array(self.p)
 
 
@@ -158,8 +158,6 @@ def bell_state_row(label: BellLabel) -> tuple[float, float, float, float]:
 
 def bell_state_batch(s, t) -> np.ndarray:
     """Stacked Bell states for 0/1 bit arrays s, t of one length; shape (n, 4)."""
-    import numpy as np
-
     n = len(s)
     s, t = _validated_bits(s, n, "s"), _validated_bits(t, n, "t")
     return np.stack(_bell_entries(s, t, np.where), axis=1, dtype=np.complex128)
@@ -167,8 +165,6 @@ def bell_state_batch(s, t) -> np.ndarray:
 
 def _operator(m) -> np.ndarray:
     """m as complex128, checked to hold numbers and to be a finite 2x2 matrix or a (2, 2, n) stack."""
-    import numpy as np
-
     m = _numeric(m, "matrix", "biufc").astype(np.complex128)
     if m.ndim not in (2, 3) or m.shape[:2] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix or a (2, 2, n) stack, got shape {m.shape}")
@@ -182,8 +178,6 @@ def lift_first(a) -> np.ndarray:
 
     A (2, 2, n) stack is lifted row by row into a (4, 4, n) stack.
     """
-    import numpy as np
-
     a = _operator(a)
     return np.einsum("ij...,kl->ikjl...", a, observables.IDENTITY2).reshape((4, 4) + a.shape[2:])
 
@@ -193,16 +187,12 @@ def lift_second(b) -> np.ndarray:
 
     A (2, 2, n) stack is lifted row by row into a (4, 4, n) stack.
     """
-    import numpy as np
-
     b = _operator(b)
     return np.einsum("ij,kl...->ikjl...", observables.IDENTITY2, b).reshape((4, 4) + b.shape[2:])
 
 
 def outcome_frame(pair: ObservablePair) -> OutcomeFrame:
     """Orthonormal frame of common eigenvectors of both lifted observables."""
-    import numpy as np
-
     rows = [np.kron(eigenvector(pair.a, k), eigenvector(pair.b, ell)) for k, ell in INDEX_ORDER]
     return OutcomeFrame(vectors=np.array(rows))
 
@@ -300,8 +290,6 @@ def commutator_norms(mu, eta, nu, zeta) -> np.ndarray:
     norm is NaN, takes the tiles. Angles are 1-d float arrays of one length
     and are not validated.
     """
-    import numpy as np
-
     units = np.eye(4, dtype=np.complex128).reshape(2, 2, 4)  # E_pq at 2p + q
     lift_a = lift_first(np.repeat(units, 4, axis=2))  # column 4i + j pairs E_i with E_j
     lift_b = lift_second(np.tile(units, 4))
@@ -322,12 +310,14 @@ def commutator_norms(mu, eta, nu, zeta) -> np.ndarray:
 
 def is_klein_symmetric(dist: JointDistribution, tol: float = 1e-12) -> bool:
     """True when p00 equals p11 and p01 equals p10 within tol."""
+    require_tolerance(tol)
     p = dist.p
     return abs(p[0] - p[3]) <= tol and abs(p[1] - p[2]) <= tol
 
 
 def has_equal_marginals(dist: JointDistribution, tol: float = 1e-12) -> bool:
     """True when all four single-measurement outcome probabilities agree within tol."""
+    require_tolerance(tol)
     (pa0, pa1), (pb0, pb1) = marginals(dist)
     values = (pa0, pa1, pb0, pb1)
     return max(values) - min(values) <= tol
@@ -338,8 +328,6 @@ def has_equal_marginals(dist: JointDistribution, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 def _angle_arrays(pair: ObservablePair):
-    import numpy as np
-
     return np.array([pair.a.mu]), np.array([pair.a.eta]), np.array([pair.b.mu]), np.array([pair.b.eta])
 
 
@@ -355,8 +343,6 @@ ANGLE_BOUNDS = {"mu": math.pi, "eta": TWO_PI, "nu": math.pi, "zeta": TWO_PI}
 
 def _numeric(values, name: str, kinds: str = "biuf") -> np.ndarray:
     """values as an array of a dtype kind in kinds (by default bools, integers, floats); np.asarray takes text too."""
-    import numpy as np
-
     arr = np.asarray(values)
     if arr.dtype.kind not in kinds:
         raise TypeError(f"{name} must hold numbers, not {arr.dtype}")
@@ -365,8 +351,6 @@ def _numeric(values, name: str, kinds: str = "biuf") -> np.ndarray:
 
 def validated_angle(name: str, values) -> np.ndarray:
     """values as a contiguous 1-d float64 array, checked to be finite and in name's domain."""
-    import numpy as np
-
     hi = ANGLE_BOUNDS[name]
     arr = np.ascontiguousarray(_numeric(values, name), dtype=np.float64)
     if arr.ndim != 1:
@@ -388,8 +372,6 @@ def _validated_angles(mu, eta, nu, zeta):
 
 def _validated_bits(values, n: int, name: str) -> np.ndarray:
     """values as a contiguous int64 array of length n, checked to be 0 or 1 before the cast truncates them."""
-    import numpy as np
-
     arr = _numeric(values, name)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a 1-d array of length {n}")
@@ -410,8 +392,6 @@ def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.nda
     With check=True the alternate half-angle closed form is evaluated as well
     and compared.
     """
-    import numpy as np
-
     mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
     primary = _kernels.closed_joint(mu, eta, nu, zeta, s, t)
     if check:
@@ -422,24 +402,18 @@ def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.nda
 
 def joint_closed_alt_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
     """Half-angle closed-form probabilities; shape (n, 4), clamped to [0, 1]."""
-    import numpy as np
-
     mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
     return np.clip(_kernels.closed_joint_alt(mu, eta, nu, zeta, s, t), 0.0, 1.0)
 
 
 def joint_amplitude_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
     """Amplitude-formula probabilities; shape (n, 4), clamped to [0, 1]."""
-    import numpy as np
-
     mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
     return np.clip(_kernels.amplitude_joint(mu, eta, nu, zeta, s, t), 0.0, 1.0)
 
 
 def joint_bruteforce_batch(mu, eta, nu, zeta, psi) -> np.ndarray:
     """Born-rule probabilities against states psi (n, 4); clamped to [0, 1]."""
-    import numpy as np
-
     mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
     psi = np.ascontiguousarray(_numeric(psi, "psi", "biufc"), dtype=np.complex128)
     if psi.shape != (mu.shape[0], 4):
@@ -458,8 +432,6 @@ def _require_variant_agreement(primary, alternate) -> None:
         [abs(x - y) <= CLOSED_VARIANT_TOL for rows in zip(primary, alternate) for x, y in zip(*rows)]
     ):
         return
-    import numpy as np
-
     gap = np.abs(np.subtract(primary, alternate))
     worst = float(gap.max()) if gap.size else 0.0
     if not worst <= CLOSED_VARIANT_TOL:  # max and argmax propagate NaN

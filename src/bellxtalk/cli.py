@@ -11,12 +11,10 @@ block of rows at a time, so neither holds more than one block. The sweep
 CSV's text is exactly ``"%.17g" %`` of each float; _text makes it one numpy
 pass per column of a block.
 
-Importing this module loads the stdlib modules it needs and bipartite,
-information, observables and _kernels, but not numpy. Each command imports
-the rest itself: numpy in every function that builds arrays (never in probs,
-on any --method, which runs one pair through math and cmath), _text for the
-first sweep block written, tempfile for sweep --out, independence for
-independence and sampler for sample.
+Importing this module loads no numpy (see _np), and probs, on any --method,
+never does. Each command imports the rest itself: _text for the first sweep
+block written, tempfile for sweep --out, independence for independence and
+sampler for sample.
 """
 
 from __future__ import annotations
@@ -24,10 +22,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
 
+from . import _np as np
 from . import bipartite, information
 from .bipartite import BellLabel, InternalConsistencyError, ObservablePair
 from .observables import Observable, Plane, require_tolerance
@@ -73,8 +73,6 @@ def _parse_vary(text: str) -> tuple[str, np.ndarray]:
         raise ValueError(f"--vary range {spec!r} is wider than the largest float")
     if steps < 1:
         raise ValueError("--vary steps must be at least 1")
-    import numpy as np
-
     return name, np.linspace(start, stop, steps)
 
 
@@ -145,8 +143,6 @@ def _sweep_axes(args) -> tuple[dict[str, np.ndarray], int]:
     listed varies slowest. Every axis is checked here, so a bad angle
     anywhere in the grid is reported before any row is written.
     """
-    import numpy as np
-
     texts = args.vary or []
     if len(texts) > 2:
         raise ValueError("at most two parameters can vary")
@@ -173,8 +169,6 @@ def _sweep_grid(
     (start // stride) % len(axis) to the last one the rows reach, at most
     min(stop - start, len(axis)) of them; values[index] is the angle column.
     """
-    import numpy as np
-
     rows = np.arange(start, stop)
     grid = {}
     stride = 1
@@ -198,8 +192,6 @@ def cmd_sweep(args) -> int:
     the start of the grid. On stdout the header and the earlier blocks have
     been written by then; --out is left as it was.
     """
-    import numpy as np
-
     require_tolerance(args.tol)
     label = BellLabel(args.s, args.t)
     axes, total = _sweep_axes(args)
@@ -241,8 +233,6 @@ def _write_sweep_rows(handle, label, grid, probs, entropy, mutual, degree, indep
     about a thousand at a time, so any text handle takes them: the --out temp
     file, sys.stdout or a StringIO.
     """
-    import numpy as np
-
     from . import _text
 
     angles = [_text.floats(values)[index] for values, index in map(grid.get, _ANGLE_NAMES)]
@@ -329,12 +319,11 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
     The worst tuple is the first row, over all blocks, with the largest
     three-method gap.
     """
+    samples, seed = operator.index(samples), operator.index(seed)  # TypeError for a float
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if seed < 0:  # numpy's own message would not name the seed
         raise ValueError("seed must be a non-negative integer")
-    import numpy as np
-
     maxima = np.full(6, -np.inf)
     worst_tuple = None
     for mu, eta, nu, zeta, s, t in _verify_draws(samples, seed):
@@ -400,8 +389,6 @@ def _verify_draws(samples: int, seed: int):
     label column k starts at half q = k*n past word 4n: the stream advances
     4n + q // 2 words and, when q is odd, throws the low half away.
     """
-    import numpy as np
-
     def positioned(words: int, skip_half: bool = False) -> np.random.Generator:
         bits = np.random.PCG64(seed)
         bits.advance(words)

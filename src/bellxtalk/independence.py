@@ -19,10 +19,12 @@ solve_independence finds theta = 1/4 numerically along any path of pairs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+from . import _np as np
 from . import bipartite, information
 from .bipartite import BellLabel, ObservablePair
 from .observables import TWO_PI, Plane, angle_value, bit_value, classify_plane, require_tolerance
@@ -181,11 +183,11 @@ def solve_independence(
     found only when a grid point lands within theta_tol (best effort).
     Results are sorted by parameter.
     """
+    grid, max_iter = operator.index(grid), operator.index(max_iter)  # a float is a TypeError, not truncated
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    import numpy as np
-
-    xs = np.linspace(float(lo), float(hi), int(grid))
+    require_tolerance(theta_tol, "theta tolerance")
+    xs = np.linspace(float(lo), float(hi), grid)
     pairs = [path(float(x)) for x in xs]
     angles = np.array([(pair.a.mu, pair.a.eta, pair.b.mu, pair.b.eta) for pair in pairs]).T
     s, t = np.full(len(pairs), label.s), np.full(len(pairs), label.t)

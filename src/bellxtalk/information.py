@@ -6,7 +6,7 @@ information between the two measurements equals 2*ln(2) - entropy, and zero
 mutual information is equivalent to theta = 1/4.
 
 The one-distribution measures run on plain floats; only the row helpers for
-sweeps import numpy.
+sweeps use numpy (see _np).
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _np as np
 from . import bipartite
 from .bipartite import BellLabel, JointDistribution, ObservablePair
-from .observables import require_tolerance
+from .observables import angle_value, require_tolerance
 
 LN2 = math.log(2.0)
 MAX_ENTROPY = 2.0 * LN2
@@ -30,7 +31,7 @@ def entropy_theta(theta: float) -> float:
     Defined for theta in [0, 1/2] with the 0*ln(0) = 0 convention at the
     endpoints; inputs within 1e-12 outside the interval are clamped first.
     """
-    theta = float(theta)
+    theta = angle_value(theta, "theta")
     if not -THETA_SLACK <= theta <= 0.5 + THETA_SLACK:
         raise ValueError(f"theta must lie in [0, 1/2], got {theta}")
     theta = min(0.5, max(0.0, theta))
@@ -122,8 +123,6 @@ def crosstalk_report(pair: ObservablePair, label: BellLabel, tol: float = DEFAUL
 # ---------------------------------------------------------------------------
 
 def shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     p = np.asarray(p, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, -p * np.log(p), 0.0)
@@ -131,8 +130,6 @@ def shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
 
 
 def mutual_information_rows(p: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     p = np.asarray(p, dtype=np.float64)
     pa0 = p[:, 0] + p[:, 1]
     pa1 = p[:, 2] + p[:, 3]
@@ -146,6 +143,4 @@ def mutual_information_rows(p: np.ndarray) -> np.ndarray:
 
 def degree_rows(mutual_info: np.ndarray) -> np.ndarray:
     """Each row's degree of dependence from its mutual_information_rows value."""
-    import numpy as np
-
     return np.clip(mutual_info / LN2, 0.0, 1.0)

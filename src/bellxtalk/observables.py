@@ -10,9 +10,9 @@ operators through (x, y, z) = (sin(mu)cos(eta), sin(mu)sin(eta), cos(mu)).
 matrices() builds a (2, 2, n) stack of them from angle arrays; matrix() is its
 one-row call, so the matrix is written once.
 
-Importing the module does not load numpy: the functions that build arrays
-import it, and the matrix constants SIGMA1, SIGMA2, SIGMA3, HADAMARD and
-IDENTITY2 are built on first access, through the module __getattr__, and kept.
+The matrix constants SIGMA1, SIGMA2, SIGMA3, HADAMARD and IDENTITY2 are
+built on first access, through the module __getattr__, and kept, so
+importing the module loads no numpy (see _np).
 """
 
 from __future__ import annotations
@@ -22,17 +22,19 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
+from . import _np as np
+
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_PLANE_TOL = 1e-9
 
-#: how each matrix constant is built from numpy
+#: how each matrix constant is built
 _CONSTANTS = {
-    "SIGMA1": lambda np: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-    "SIGMA2": lambda np: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
-    "SIGMA3": lambda np: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
-    "HADAMARD": lambda np: np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0),
-    "IDENTITY2": lambda np: np.eye(2, dtype=np.complex128),
+    "SIGMA1": lambda: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
+    "SIGMA2": lambda: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
+    "SIGMA3": lambda: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
+    "HADAMARD": lambda: np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0),
+    "IDENTITY2": lambda: np.eye(2, dtype=np.complex128),
 }
 
 
@@ -41,9 +43,7 @@ def __getattr__(name: str):
     build = _CONSTANTS.get(name)
     if build is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import numpy as np
-
-    value = globals()[name] = build(np)
+    value = globals()[name] = build()
     return value
 
 
@@ -133,8 +133,6 @@ class BlochDirection:
     z: float
 
     def as_array(self) -> np.ndarray:
-        import numpy as np
-
         return np.array([self.x, self.y, self.z])
 
 
@@ -163,8 +161,6 @@ def matrices(polar, azimuth) -> np.ndarray:
     The row index is last, the struct-of-arrays layout of the batch oracles.
     Inputs are 1-d float arrays of one length and are not validated.
     """
-    import numpy as np
-
     mats = np.empty((2, 2, polar.shape[0]), dtype=np.complex128)
     c, sn = np.cos(polar), np.sin(polar)
     phase = np.exp(-1j * azimuth)
@@ -177,16 +173,12 @@ def matrices(polar, azimuth) -> np.ndarray:
 
 def matrix(obs: Observable) -> np.ndarray:
     """2x2 Hermitian matrix of the observable; trace 0, squares to identity."""
-    import numpy as np
-
     return matrices(np.array([obs.mu]), np.array([obs.eta]))[:, :, 0]
 
 
 def eigenvalue(k: int) -> float:
     """Measurement outcome for eigenvector index k: +1 for k=0, -1 for k=1."""
-    if k not in (0, 1):
-        raise ValueError("eigenvector index must be 0 or 1")
-    return 1.0 if k == 0 else -1.0
+    return 1.0 - 2.0 * bit_value(k, "eigenvector index")
 
 
 def eigenvector(obs: Observable, k: int) -> np.ndarray:
@@ -195,14 +187,11 @@ def eigenvector(obs: Observable, k: int) -> np.ndarray:
     k=0: (exp(-i*eta)*cos(mu/2), sin(mu/2));
     k=1: (-exp(-i*eta)*sin(mu/2), cos(mu/2)).
     """
-    if k not in (0, 1):
-        raise ValueError("eigenvector index must be 0 or 1")
+    k = bit_value(k, "eigenvector index")
     half = 0.5 * obs.mu
     tr = (math.cos(half), math.sin(half))
     phase = complex(math.cos(obs.eta), -math.sin(obs.eta))
     sign = 1.0 if k == 0 else -1.0
-    import numpy as np
-
     return np.array([sign * phase * tr[k], tr[(k + 1) % 2]], dtype=np.complex128)
 
 

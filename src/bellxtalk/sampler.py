@@ -21,6 +21,7 @@ import operator
 from dataclasses import dataclass
 
 from . import _kernels
+from . import _np as np
 from .bipartite import JointDistribution
 from .information import DEFAULT_INDEPENDENCE_TOL, CrosstalkReport, report_from_distribution
 
@@ -34,14 +35,17 @@ class SampleCounts:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = operator.index(self.n)  # TypeError for text or a float, which int() would parse or truncate
+        if n < 1:
             raise ValueError("sample size must be at least 1")
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(map(operator.index, self.counts))
         if len(counts) != 4 or any(c < 0 for c in counts):
             raise ValueError("counts must be four non-negative integers")
-        if sum(counts) != self.n:
-            raise ValueError(f"counts sum to {sum(counts)}, expected n={self.n}")
+        if sum(counts) != n:
+            raise ValueError(f"counts sum to {sum(counts)}, expected n={n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "seed", operator.index(self.seed))
 
 
 def sample(dist: JointDistribution, n: int, seed: int) -> SampleCounts:
@@ -51,12 +55,10 @@ def sample(dist: JointDistribution, n: int, seed: int) -> SampleCounts:
         raise ValueError("sample size must be at least 1")
     if not 0 <= seed <= _kernels._U64_MAX:
         raise ValueError("seed must be an unsigned 64-bit integer")
-    import numpy as np
-
     cdf = np.cumsum(dist.as_array())
     cdf[3] = 1.0  # guard the top bin against rounding in the cumulative sum
     counts = _kernels.sample_counts(cdf, n, np.uint64(seed))
-    return SampleCounts(n=n, counts=tuple(int(c) for c in counts), seed=seed)
+    return SampleCounts(n=n, counts=counts, seed=seed)
 
 
 def empirical_distribution(counts: SampleCounts) -> JointDistribution:

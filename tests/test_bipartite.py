@@ -218,6 +218,19 @@ class TestJointDistributionType:
         with pytest.raises(ValueError):
             dist.probability(2, 0)
 
+    @pytest.mark.parametrize("k,ell", [(1.0, 0), (0, 1.0), (np.float64(1.0), 0), ("1", 0)])
+    def test_accessor_refuses_non_integral_indices(self, k, ell):
+        # a float index used to fail on the tuple index, with no word of which index was wrong
+        with pytest.raises(TypeError, match="outcome index . must be an integer 0 or 1"):
+            JointDistribution((0.1, 0.2, 0.3, 0.4)).probability(k, ell)
+
+    @pytest.mark.parametrize("p", [("0.25",) * 4, (b"0.25",) * 4, (0.25, 0.25, 0.25, "0.25"),
+                                   np.array(["0.25"] * 4), "1000"], ids=repr)
+    def test_text_probabilities_are_type_errors(self, p):
+        # float() would parse them
+        with pytest.raises(TypeError, match="probabilities must be numbers"):
+            JointDistribution(p)
+
 
 class TestBruteForce:
     def test_correlated_basis_state(self):
@@ -388,6 +401,14 @@ class TestMarginals:
             (pa, pb) = marginals(dist)
             assert pa[0] + pa[1] == pytest.approx(1.0, abs=1e-12)
             assert pb[0] + pb[1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("check", [is_klein_symmetric, has_equal_marginals], ids=lambda f: f.__name__)
+def test_symmetry_checks_reject_bad_tolerances(check, tol):
+    # they used to answer False instead of refusing the tolerance
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        check(JointDistribution((0.25, 0.25, 0.25, 0.25)), tol)
 
 
 class TestBellStateInvariants:

@@ -253,6 +253,17 @@ class TestVerify:
         result = dataclasses.replace(run_verification(samples=5, seed=1), **{field: math.nan})
         assert not result.passes(1.0)
 
+    @pytest.mark.parametrize("samples,seed", [(2.5, 0), (5.0, 0), (5, 1.5), ("5", 0), (5, "1")])
+    def test_non_integral_samples_and_seed_are_type_errors(self, samples, seed):
+        # they used to fail inside numpy: 2.5 with an unsupported & operand, a 1.5 seed in SeedSequence
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            run_verification(samples, seed)
+
+    def test_numpy_integer_samples_and_seed_are_accepted(self):
+        result = run_verification(np.int64(5), np.uint64(1))
+        assert result == run_verification(5, 1)
+        assert type(result.samples) is int and type(result.seed) is int
+
     def test_sample_count_validation(self, capsys):
         assert run_cli(capsys, "verify", "--samples", "0")[0] == 2
 

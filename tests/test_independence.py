@@ -313,6 +313,25 @@ class TestSolveIndependence:
         assert (calls["batch"], calls["point"]) == (1, steps)
 
 
+def _sigma3_path(nu):
+    return ObservablePair(named_gate("sigma3"), Observable(nu, 0.0))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_solver_rejects_bad_theta_tolerances(tol):
+    # -1 used to find no root, and NaN none either, instead of refusing
+    with pytest.raises(ValueError, match="theta tolerance must be positive and finite"):
+        solve_independence(_sigma3_path, BellLabel(0, 0), 10, hi=3.0, theta_tol=tol)
+
+
+@pytest.mark.parametrize("grid,max_iter", [(2.5, 200), (np.float64(3.7), 200), (10.0, 200), ("10", 200),
+                                           (10, 2.5)])
+def test_solver_refuses_non_integral_grid_and_iterations(grid, max_iter):
+    # int() used to truncate them: 2.5 ran a 2-point grid
+    with pytest.raises(TypeError):
+        solve_independence(_sigma3_path, BellLabel(0, 0), grid, hi=3.0, max_iter=max_iter)
+
+
 def test_nan_angle_tolerance_is_rejected():
     with pytest.raises(ValueError, match="angle tolerance must be positive"):
         condition_x_plane(PI / 4, PI / 4, s=0, tol=math.nan)

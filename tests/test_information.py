@@ -51,6 +51,12 @@ class TestEntropyTheta:
         with pytest.raises(ValueError):
             entropy_theta(0.51)
 
+    @pytest.mark.parametrize("theta", ["0.1", b"0.1", bytearray(b"0.1")], ids=type)
+    def test_text_theta_is_a_type_error(self, theta):
+        # float() would parse it
+        with pytest.raises(TypeError, match="theta must be a number"):
+            entropy_theta(theta)
+
     def test_concave_on_interior_grid(self):
         thetas = np.linspace(1e-4, 0.5 - 1e-4, 1000)
         values = np.array([entropy_theta(t) for t in thetas])

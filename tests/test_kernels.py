@@ -97,7 +97,7 @@ def test_sampler_chunking_consistent():
     # counts must not depend on the sampler's internal chunk size
     cdf = np.array([0.3, 0.55, 0.8, 1.0])
     n = _kernels._SAMPLE_CHUNK + 12345
-    whole = _kernels.sample_counts_numpy(cdf, n, np.uint64(9))
+    whole = _kernels.sample_counts(cdf, n, np.uint64(9))
     assert int(whole.sum()) == n
 
 

@@ -143,6 +143,14 @@ class TestMatrixProperties:
         with pytest.raises(ValueError):
             eigenvalue(-1)
 
+    @pytest.mark.parametrize("k", [1.0, np.float64(0.0), "1", None])
+    def test_non_integral_eigen_index_is_a_type_error(self, k):
+        # eigenvalue(1.0) used to return -1.0 and eigenvector a tuple-index TypeError
+        with pytest.raises(TypeError, match="eigenvector index must be an integer 0 or 1"):
+            eigenvalue(k)
+        with pytest.raises(TypeError, match="eigenvector index must be an integer 0 or 1"):
+            eigenvector(Observable(0.5, 0.5), k)
+
 
 class TestEigenvalue:
     def test_spectrum(self):

@@ -62,7 +62,7 @@ def reference_counts_at(cdf, seed, sizes):
 
 
 def kernel_counts(cdf, n, seed):
-    return [int(c) for c in _kernels.sample_counts_numpy(np.asarray(cdf, dtype=np.float64), n, np.uint64(seed))]
+    return [int(c) for c in _kernels.sample_counts(np.asarray(cdf, dtype=np.float64), n, np.uint64(seed))]
 
 
 def sampler_cdf(p):

@@ -28,6 +28,20 @@ class TestSampleCountsType:
         with pytest.raises(ValueError):
             SampleCounts(n=0, counts=(0, 0, 0, 0), seed=0)
 
+    @pytest.mark.parametrize("n,counts,seed", [
+        (2, ("1", "1", 0, 0), 0), (2, (b"1", 1, 0, 0), 0), ("2", (1, 1, 0, 0), 0), (2, (1, 1, 0, 0), "0"),
+        (2.0, (1, 1, 0, 0), 0), (2, (1.0, 1, 0, 0), 0), (2, (1.5, 0.5, 0, 0), 0),
+    ])
+    def test_text_and_fractions_are_type_errors(self, n, counts, seed):
+        # int() would parse the text and truncate the fractions
+        with pytest.raises(TypeError):
+            SampleCounts(n=n, counts=counts, seed=seed)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        counts = SampleCounts(n=np.int64(2), counts=np.array([1, 1, 0, 0]), seed=np.uint64(3))
+        assert counts == SampleCounts(n=2, counts=(1, 1, 0, 0), seed=3)
+        assert all(type(x) is int for x in (counts.n, counts.seed, *counts.counts))
+
 
 class TestSampling:
     def test_golden_counts(self):

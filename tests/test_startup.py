@@ -2,10 +2,13 @@
 
 Importing the CLI and building its parser loads no numpy and no module that
 only some commands run; probs, on every route, and independence never load
-numpy; the package resolves its exports on first use.
+numpy; the package resolves its exports on first use. numpy is imported in
+one place, the lazy module bellxtalk._np.
 """
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -114,3 +117,42 @@ first = observables.SIGMA2
 print("numpy" in sys.modules, first is observables.SIGMA2, "SIGMA2" in vars(observables))
 """
     assert _probe(body) == ["False True", "True True True"]
+
+
+def test_only_the_np_module_imports_numpy():
+    importers = set()
+    for path in pathlib.Path(bellxtalk.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"_np.py"}
+
+
+def test_np_module_loads_numpy_on_first_use_and_keeps_each_name():
+    body = """
+from bellxtalk import _np
+print("numpy" in sys.modules, "sin" in vars(_np))
+first = _np.sin
+import numpy
+print(first is numpy.sin, vars(_np)["sin"] is numpy.sin, _np.sin is first)
+"""
+    assert _probe(body) == ["False False", "True True True"]
+
+
+def test_np_module_names_unknown_and_dunder_probes_as_attribute_errors():
+    body = """
+from bellxtalk import _np
+for name in ("__wrapped__", "__all__", "__path__"):
+    print(name, hasattr(_np, name), "numpy" in sys.modules)
+try:
+    _np.no_such_name
+except AttributeError as exc:
+    print("no_such_name" in str(exc))
+"""
+    assert _probe(body) == ["__wrapped__ False False", "__all__ False False", "__path__ False False", "True"]
