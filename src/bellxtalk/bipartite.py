@@ -50,12 +50,6 @@ PROB_SLACK = 1e-12        # numeric undershoot tolerated before clamping
 SUM_TOL = 1e-12
 NORM_TOL = 1e-10
 CLOSED_VARIANT_TOL = 1e-10  # max disagreement allowed between the two closed forms
-#: rows per commutator_norms tile; its (16, n) complex products and entries
-#: take 128 KB each and a 4096-row call peaks near 500 KB, which glibc keeps
-#: from tile to tile (at 768 rows it faulted about 150 pages back in per call).
-#: Unless pinned to one thread, OpenBLAS runs the (16, 16) product on two from
-#: 256 rows on; 255-row tiles avoid that but made the commutator 15-20% slower
-COMMUTATOR_TILE_ROWS = 512
 
 
 class InternalConsistencyError(RuntimeError):
@@ -275,7 +269,7 @@ def marginals(dist: JointDistribution) -> tuple[tuple[float, float], tuple[float
 
 def commutator_norm(pair: ObservablePair) -> float:
     """Frobenius norm of [a tensor I, I tensor b]; zero exactly when they commute."""
-    return float(commutator_norms(*_angle_arrays(pair))[0])
+    return float(commutator_norms(*np.array([[pair.a.mu], [pair.a.eta], [pair.b.mu], [pair.b.eta]]))[0])
 
 
 def commutator_norms(mu, eta, nu, zeta) -> np.ndarray:
@@ -283,12 +277,12 @@ def commutator_norms(mu, eta, nu, zeta) -> np.ndarray:
 
     The lifts are linear (a test checks this) and the matrix units E_pq span
     every 2x2 operator, so a row's commutator is the sum of A_pq B_rs times
-    [lift_first(E_pq), lift_second(E_rs)]. Those 16 are built once per call;
-    a tile of rows is then one (16, 16) @ (16, tile) product. When all 16 are
+    [lift_first(E_pq), lift_second(E_rs)]. Those 16 are built once per call,
+    and all rows are then one (16, 16) @ (16, n) product. When all 16 are
     zero, as with correct lifts, each row with finite angles has norm zero and
-    the tiles are skipped; a nonzero entry, or a non-finite angle, whose row
-    norm is NaN, takes the tiles. Angles are 1-d float arrays of one length
-    and are not validated.
+    no row's matrices are built; a nonzero entry, or a non-finite angle, whose
+    row norm is NaN, takes the product. Angles are 1-d float arrays of one
+    length and are not validated.
     """
     units = np.eye(4, dtype=np.complex128).reshape(2, 2, 4)  # E_pq at 2p + q
     lift_a = lift_first(np.repeat(units, 4, axis=2))  # column 4i + j pairs E_i with E_j
@@ -296,16 +290,9 @@ def commutator_norms(mu, eta, nu, zeta) -> np.ndarray:
     basis = (np.einsum("ikn,kjn->ijn", lift_a, lift_b) - np.einsum("ikn,kjn->ijn", lift_b, lift_a)).reshape(16, 16)
     if not basis.any() and all(np.isfinite(angle).all() for angle in (mu, eta, nu, zeta)):
         return np.zeros(len(mu))
-    norms = np.empty(len(mu))
-    for start in range(0, len(mu), COMMUTATOR_TILE_ROWS):
-        tile = slice(start, start + COMMUTATOR_TILE_ROWS)
-        a = matrices(mu[tile], eta[tile]).reshape(4, -1)
-        b = matrices(nu[tile], zeta[tile]).reshape(4, -1)
-        # re, im of each row's 16 entries side by side
-        parts = (basis @ np.einsum("in,jn->ijn", a, b).reshape(16, -1)).view(np.float64)
-        squares = np.einsum("ij,ij->j", parts, parts)
-        norms[tile] = np.sqrt(squares[0::2] + squares[1::2])
-    return norms
+    a = matrices(mu, eta).reshape(4, -1)
+    b = matrices(nu, zeta).reshape(4, -1)
+    return np.linalg.norm(basis @ np.einsum("in,jn->ijn", a, b).reshape(16, -1), axis=0)
 
 
 def is_klein_symmetric(dist: JointDistribution, tol: float = 1e-12) -> bool:
@@ -326,10 +313,6 @@ def has_equal_marginals(dist: JointDistribution, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 # batch wrappers over the kernels (validated, clamped)
 # ---------------------------------------------------------------------------
-
-def _angle_arrays(pair: ObservablePair):
-    return np.array([pair.a.mu]), np.array([pair.a.eta]), np.array([pair.b.mu]), np.array([pair.b.eta])
-
 
 def _point_row(pair: ObservablePair, label: BellLabel):
     """The pair's angles and the label's bits as one-element lists."""
@@ -413,11 +396,17 @@ def joint_amplitude_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
 
 
 def joint_bruteforce_batch(mu, eta, nu, zeta, psi) -> np.ndarray:
-    """Born-rule probabilities against states psi (n, 4); clamped to [0, 1]."""
+    """Born-rule probabilities against finite unit states psi (n, 4); clamped to [0, 1]."""
     mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
     psi = np.ascontiguousarray(_numeric(psi, "psi", "biufc"), dtype=np.complex128)
     if psi.shape != (mu.shape[0], 4):
         raise ValueError(f"psi must have shape ({mu.shape[0]}, 4), got {psi.shape}")
+    parts = psi.view(np.float64)  # re, im of each entry side by side
+    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN and inf rows as well
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(f"state vector at row {row} has norm {norms[row]}, expected 1")
     return np.clip(_kernels.bruteforce_joint(mu, eta, nu, zeta, psi), 0.0, 1.0)
 
 

@@ -6,10 +6,10 @@ independence (closed-form angle conditions), sample (seeded sampling run).
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 The algebra lives in the library: sweep and verify call the batch routes
-(verify also bipartite.commutator_norms, which tiles each block itself) one
-block of rows at a time, so neither holds more than one block. The sweep
-CSV's text is exactly ``"%.17g" %`` of each float; _text makes it one numpy
-pass per column of a block.
+(verify also bipartite.commutator_norms) one block of rows at a time, so
+neither holds more than one block. The sweep CSV's text is exactly
+``"%.17g" %`` of each float; _text makes it one numpy pass per column of a
+block.
 
 Importing this module loads no numpy (see _np), and probs, on any --method,
 never does. Each command imports the rest itself: _text for the first sweep
@@ -278,34 +278,29 @@ def _replacing(path: str):
 # verify
 # ---------------------------------------------------------------------------
 
+#: verify's checks, in the order it prints them and VerificationResult.maxima holds them
+CHECKS = (
+    "three-method max gap",
+    "normalization error",
+    "diagonal symmetry gap",
+    "marginal deviation from 1/2",
+    "closed-variant gap",
+    "lifted commutator norm",
+)
+
+
 @dataclass(frozen=True)
 class VerificationResult:
-    """Worst-case deviations over the random draw set."""
+    """Worst-case deviations over the random draw set: each check's maximum, in CHECKS order."""
 
     samples: int
     seed: int
-    max_method_gap: float
-    max_sum_error: float
-    max_klein_gap: float
-    max_marginal_gap: float
-    max_variant_gap: float
-    max_commutator: float
+    maxima: tuple[float, ...]
     worst_tuple: tuple[float, float, float, float, int, int]
-
-    def _checks(self) -> tuple[tuple[str, float], ...]:
-        """Each check's name and worst value, in the order verify prints them."""
-        return (
-            ("three-method max gap", self.max_method_gap),
-            ("normalization error", self.max_sum_error),
-            ("diagonal symmetry gap", self.max_klein_gap),
-            ("marginal deviation from 1/2", self.max_marginal_gap),
-            ("closed-variant gap", self.max_variant_gap),
-            ("lifted commutator norm", self.max_commutator),
-        )
 
     def passes(self, tol: float) -> bool:
         """True when every check is within tol; a NaN fails its check."""
-        return all(value <= tol for _, value in self._checks())
+        return all(value <= tol for value in self.maxima)
 
 
 def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
@@ -324,7 +319,7 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
         raise ValueError("samples must be at least 1")
     if seed < 0:  # numpy's own message would not name the seed
         raise ValueError("seed must be a non-negative integer")
-    maxima = np.full(6, -np.inf)
+    maxima = np.full(len(CHECKS), -np.inf)
     worst_tuple = None
     for mu, eta, nu, zeta, s, t in _verify_draws(samples, seed):
         angles = mu, eta, nu, zeta
@@ -338,7 +333,7 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
             np.maximum(np.abs(closed - brute), np.abs(amplitude - brute)),
         ).max(axis=1)
         worst = int(method_gap.argmax())
-        block_maxima = np.array([
+        block_maxima = np.array([  # in CHECKS order
             method_gap[worst],
             max(np.abs(m.sum(axis=1) - 1.0).max() for m in (closed, amplitude, brute)),
             max(
@@ -364,18 +359,7 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
             )
         np.maximum(maxima, block_maxima, out=maxima)
 
-    gap, sum_error, klein, marginal, variant, commutator = maxima.tolist()
-    return VerificationResult(
-        samples=samples,
-        seed=seed,
-        max_method_gap=gap,
-        max_sum_error=sum_error,
-        max_klein_gap=klein,
-        max_marginal_gap=marginal,
-        max_variant_gap=variant,
-        max_commutator=commutator,
-        worst_tuple=worst_tuple,
-    )
+    return VerificationResult(samples, seed, tuple(maxima.tolist()), worst_tuple)
 
 
 def _verify_draws(samples: int, seed: int):
@@ -413,7 +397,7 @@ def _verify_draws(samples: int, seed: int):
 
 
 def _max_commutator_norm(mu, eta, nu, zeta) -> float:
-    """Largest Frobenius norm of [A (x) I, I (x) B] over one block of rows, which commutator_norms tiles."""
+    """Largest Frobenius norm of [A (x) I, I (x) B] over one block of rows."""
     return float(bipartite.commutator_norms(mu, eta, nu, zeta).max())
 
 
@@ -421,7 +405,7 @@ def cmd_verify(args) -> int:
     require_tolerance(args.tol)
     result = run_verification(samples=args.samples, seed=args.seed)
     print(f"samples={result.samples} seed={result.seed} tol={args.tol:g}")
-    for name, value in result._checks():
+    for name, value in zip(CHECKS, result.maxima):
         print(f"  {name:<30} {value:.3e}  {'OK' if value <= args.tol else 'FAIL'}")
     if not result.passes(args.tol):
         mu, eta, nu, zeta, s, t = result.worst_tuple

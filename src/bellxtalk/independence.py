@@ -172,22 +172,25 @@ def solve_independence(
     lo: float = 0.0,
     hi: float = 1.0,
     theta_tol: float = ROOT_THETA_TOL,
-    max_iter: int = 200,
 ) -> list[IndependenceRoot]:
     """Locate parameters where the diagonal probability crosses 1/4.
 
     Evaluates theta(x) - 1/4 on an inclusive grid of `grid` points over
     [lo, hi] in one closed-form batch call, keeps grid points already within
     theta_tol, and bisects every bracketing sign change with one one-pair
-    closed-form call per step. Tangential zeros that do not change sign are
-    found only when a grid point lands within theta_tol (best effort).
-    Results are sorted by parameter.
+    closed-form call per step, until a midpoint is within theta_tol or no
+    double lies between the bracket's ends. Tangential zeros that do not
+    change sign are found only when a grid point lands within theta_tol (best
+    effort). Results are sorted by parameter.
     """
-    grid, max_iter = operator.index(grid), operator.index(max_iter)  # a float is a TypeError, not truncated
+    grid = operator.index(grid)  # a float is a TypeError, not truncated
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     require_tolerance(theta_tol, "theta tolerance")
-    xs = np.linspace(float(lo), float(hi), grid)
+    lo, hi = angle_value(lo, "lo"), angle_value(hi, "hi")
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN bracket would never collapse
+        raise ValueError("lo and hi must be finite")
+    xs = np.linspace(lo, hi, grid)
     pairs = [path(float(x)) for x in xs]
     angles = np.array([(pair.a.mu, pair.a.eta, pair.b.mu, pair.b.eta) for pair in pairs]).T
     s, t = np.full(len(pairs), label.s), np.full(len(pairs), label.t)
@@ -206,17 +209,14 @@ def solve_independence(
             continue
         a, b = float(xs[i]), float(xs[i + 1])
         f_a = values[i]
-        mid, f_mid = a, f_a
-        for _ in range(max_iter):
-            mid = 0.5 * (a + b)
+        while (mid := 0.5 * (a + b)) not in (a, b):
             f_mid = bipartite.joint_distribution_closed(path(mid), label).p[0] - 0.25
             if abs(f_mid) <= theta_tol:
+                roots.append(IndependenceRoot(mid, f_mid + 0.25, b - a))
                 break
             if (f_mid < 0.0) == (f_a < 0.0):
                 a, f_a = mid, f_mid
             else:
                 b = mid
-        if abs(f_mid) <= theta_tol:
-            roots.append(IndependenceRoot(float(mid), float(f_mid + 0.25), float(b - a)))
     roots.sort(key=lambda root: root.sweep_parameter)
     return roots

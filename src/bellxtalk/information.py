@@ -20,7 +20,6 @@ from .bipartite import BellLabel, JointDistribution, ObservablePair
 from .observables import angle_value, require_tolerance
 
 LN2 = math.log(2.0)
-MAX_ENTROPY = 2.0 * LN2
 THETA_SLACK = 1e-12
 DEFAULT_INDEPENDENCE_TOL = 1e-9
 

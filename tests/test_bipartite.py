@@ -585,10 +585,6 @@ class TestCommutator:
         one_label = (s == 0) & (t == 0)  # the commutator does not depend on the label
         self._check_against_reference((mu[one_label], eta[one_label], nu[one_label], zeta[one_label]), monkeypatch)
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_tile_edges_match_scalar_reference(self, offset, monkeypatch):
-        self._check_against_reference(_random_angles(43, bipartite.COMMUTATOR_TILE_ROWS + offset), monkeypatch)
-
     @pytest.mark.parametrize("rows", [1, cli.VERIFY_BLOCK_ROWS + 1])
     def test_one_row_and_a_block_past_its_end_match_scalar_reference(self, rows, monkeypatch):
         self._check_against_reference(_random_angles(47, rows), monkeypatch)
@@ -607,13 +603,13 @@ class TestCommutator:
         calls = []
         matrices = bipartite.matrices
         monkeypatch.setattr(bipartite, "matrices", lambda *args: calls.append(len(args[0])) or matrices(*args))
-        angles = _random_angles(61, 2 * bipartite.COMMUTATOR_TILE_ROWS + 1)
+        angles = _random_angles(61, 1025)
         norms = commutator_norms(*angles)
         assert calls == []
         assert norms.dtype == np.float64 and np.array_equal(norms, np.zeros(len(angles[0])))
         monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)
         assert commutator_norms(*angles).min() > 0.0
-        assert calls == [512, 512, 512, 512, 1, 1]  # the wrong lift takes the tiles, A's and B's per tile
+        assert calls == [1025, 1025]  # the wrong lift takes the product: A's and B's matrices, once each
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_a_non_finite_angle_row_is_nan_with_correct_lifts(self, bad):
@@ -750,3 +746,19 @@ class TestBatchValidation:
         z = np.zeros(2)
         with pytest.raises(ValueError):
             joint_bruteforce_batch(z, z, z, z, np.zeros((3, 4), dtype=complex))
+
+    @pytest.mark.parametrize("entry,norm", [(2.0, "2.0"), (math.nan, "nan"), (math.inf, "inf"),
+                                            (complex(0, -math.inf), "inf")])
+    def test_states_off_unit_norm_are_refused(self, entry, norm):
+        # clipping used to hide them: a norm-2 state gave the cells (1, 0, 0, 0), not (4, 0, 0, 0)
+        z = np.zeros(1)
+        with pytest.raises(ValueError, match=f"state vector at row 0 has norm {norm}, expected 1"):
+            joint_bruteforce_batch(z, z, z, z, [[entry, 0, 0, 0]])
+
+    def test_the_first_bad_state_row_is_named(self):
+        z = np.zeros(5)
+        psi = bell_state_batch([0, 1, 0, 1, 0], [0, 0, 1, 1, 0])
+        psi[2] *= 1.1
+        psi[4] = np.nan
+        with pytest.raises(ValueError, match="state vector at row 2 has norm 1.1"):
+            joint_bruteforce_batch(z, z, z, z, psi)

@@ -240,18 +240,25 @@ class TestVerify:
 
     def test_run_verification_values(self):
         result = run_verification(samples=1500, seed=4)
-        assert result.max_method_gap <= 1e-12
-        assert result.max_sum_error <= 1e-12
-        assert result.max_klein_gap <= 1e-12
-        assert result.max_marginal_gap <= 1e-12
-        assert result.max_variant_gap <= 1e-12
-        assert result.max_commutator <= 1e-13
+        maxima = dict(zip(cli.CHECKS, result.maxima, strict=True))
+        assert maxima.pop("lifted commutator norm") <= 1e-13
+        assert max(maxima.values()) <= 1e-12
         assert result.passes(1e-12)
 
-    @pytest.mark.parametrize("field", ["max_method_gap", "max_klein_gap", "max_commutator"])
-    def test_a_nan_check_fails_the_run(self, field):
-        result = dataclasses.replace(run_verification(samples=5, seed=1), **{field: math.nan})
-        assert not result.passes(1.0)
+    @pytest.mark.parametrize("check", cli.CHECKS)
+    def test_a_nan_check_fails_the_run(self, check):
+        result = run_verification(samples=5, seed=1)
+        assert result.passes(1.0)
+        maxima = list(result.maxima)
+        maxima[cli.CHECKS.index(check)] = math.nan
+        assert not dataclasses.replace(result, maxima=tuple(maxima)).passes(1.0)
+
+    def test_verify_prints_each_check_once_in_checks_order(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--samples", "20", "--seed", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line[:32].strip() for line in lines[1:-1]] == list(cli.CHECKS)
+        assert lines[-1] == "all checks passed"
 
     @pytest.mark.parametrize("samples,seed", [(2.5, 0), (5.0, 0), (5, 1.5), ("5", 0), (5, "1")])
     def test_non_integral_samples_and_seed_are_type_errors(self, samples, seed):
@@ -828,7 +835,7 @@ class TestUnwritableOut:
         assert os.listdir(tmp_path) == ["sweep.csv"]
 
 
-def test_commutator_tile_peak_stays_small():
+def test_commutator_block_peak_stays_small():
     angles = np.random.default_rng(6).uniform(0.0, PI, (4, cli.VERIFY_BLOCK_ROWS))
     cli._max_commutator_norm(*angles)
     tracemalloc.start()

@@ -324,12 +324,38 @@ def test_solver_rejects_bad_theta_tolerances(tol):
         solve_independence(_sigma3_path, BellLabel(0, 0), 10, hi=3.0, theta_tol=tol)
 
 
-@pytest.mark.parametrize("grid,max_iter", [(2.5, 200), (np.float64(3.7), 200), (10.0, 200), ("10", 200),
-                                           (10, 2.5)])
-def test_solver_refuses_non_integral_grid_and_iterations(grid, max_iter):
+@pytest.mark.parametrize("grid", [2.5, np.float64(3.7), 10.0, "10"])
+def test_solver_refuses_non_integral_grid_and_iterations(grid):
     # int() used to truncate them: 2.5 ran a 2-point grid
     with pytest.raises(TypeError):
-        solve_independence(_sigma3_path, BellLabel(0, 0), grid, hi=3.0, max_iter=max_iter)
+        solve_independence(_sigma3_path, BellLabel(0, 0), grid, hi=3.0)
+
+
+@pytest.mark.parametrize("lo,hi", [("0", 3.0), (0.0, b"3"), (None, 3.0)])
+def test_solver_refuses_text_bounds(lo, hi):
+    # float() used to parse them: lo="0", hi=b"3" found the root at pi/2
+    with pytest.raises(TypeError, match="must be a number"):
+        solve_independence(_sigma3_path, BellLabel(0, 0), 10, lo=lo, hi=hi)
+
+
+@pytest.mark.parametrize("lo,hi", [(math.nan, 3.0), (0.0, math.inf)])
+def test_solver_refuses_non_finite_bounds(lo, hi):
+    with pytest.raises(ValueError, match="lo and hi must be finite"):
+        solve_independence(lambda x: _sigma3_path(1.0), BellLabel(0, 0), 10, lo=lo, hi=hi)
+
+
+def test_bisection_stops_when_the_bracket_collapses():
+    # theta jumps across 1/4 at x = 0.3 without reaching it: a sign change with no root
+    calls = []
+
+    def jump(x):
+        calls.append(x)
+        return _sigma3_path(1.0 if x < 0.3 else 2.0)
+
+    assert solve_independence(jump, BellLabel(0, 0), 10) == []
+    steps = calls[10:]
+    assert 0.0 < max(steps) - min(steps) < 0.12
+    assert len(steps) <= 64  # about 54 halvings from a 1/9-wide bracket to adjacent doubles
 
 
 def test_nan_angle_tolerance_is_rejected():
