@@ -37,11 +37,10 @@ bell_state_row rather than bell_state for brute force, so it loads no numpy
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _kernels, observables
 from . import _np as np
-from .observables import TWO_PI, Observable, bit_value, eigenvector, matrices, require_tolerance
+from .observables import TWO_PI, Observable, Record, bit_value, eigenvector, matrices, require_tolerance
 
 #: fixed cell order for joint outcomes (k, l); all arrays and CSV output use it
 INDEX_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -68,8 +67,7 @@ class InternalConsistencyError(RuntimeError):
         return type(self), (self.gap, self.row)
 
 
-@dataclass(frozen=True)
-class BellLabel:
+class BellLabel(Record):
     """Names the maximally entangled state (|0 t> + (-1)^s |1 (t+1)>)/sqrt(2)."""
 
     s: int
@@ -80,16 +78,14 @@ class BellLabel:
         object.__setattr__(self, "t", bit_value(self.t, "bell label bit t"))
 
 
-@dataclass(frozen=True)
-class ObservablePair:
+class ObservablePair(Record):
     """The first-qubit observable a and the second-qubit observable b."""
 
     a: Observable
     b: Observable
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(Record):
     """Probabilities of the four simultaneous outcomes, in INDEX_ORDER.
 
     Values are clamped to [0, 1] at construction; raw inputs may undershoot 0
@@ -123,8 +119,7 @@ class JointDistribution:
         return np.array(self.p)
 
 
-@dataclass(frozen=True)
-class OutcomeFrame:
+class OutcomeFrame(Record):
     """The four joint eigenvectors u_a^(k) tensor u_b^(l), rows in INDEX_ORDER."""
 
     vectors: np.ndarray  # shape (4, 4) complex, row index 2k+l

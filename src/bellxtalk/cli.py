@@ -25,12 +25,11 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
 
 from . import _np as np
 from . import bipartite, information
 from .bipartite import BellLabel, InternalConsistencyError, ObservablePair
-from .observables import Observable, Plane, require_tolerance
+from .observables import Observable, Plane, Record, require_tolerance
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -289,8 +288,7 @@ CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Record):
     """Worst-case deviations over the random draw set: each check's maximum, in CHECKS order."""
 
     samples: int
@@ -351,8 +349,8 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
             np.abs(closed - alternate).max(),
             _max_commutator_norm(*angles),
         ])
-        # strictly larger only, so the first worst block's first worst row is kept
-        if block_maxima[0] > maxima[0]:
+        # the first row with the largest gap, a NaN counting as largest, as argmax counts it in a block
+        if worst_tuple is None or (not block_maxima[0] <= maxima[0] and not np.isnan(maxima[0])):
             worst_tuple = (
                 float(mu[worst]), float(eta[worst]), float(nu[worst]), float(zeta[worst]),
                 int(s[worst]), int(t[worst]),

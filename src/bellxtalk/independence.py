@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from . import _np as np
 from . import bipartite, information
 from .bipartite import BellLabel, ObservablePair
-from .observables import TWO_PI, Plane, angle_value, bit_value, classify_plane, require_tolerance
+from .observables import TWO_PI, Plane, Record, angle_value, bit_value, classify_plane, require_tolerance
 
 DEFAULT_ANGLE_TOL = 1e-9
 ROOT_THETA_TOL = 1e-10
@@ -50,8 +49,7 @@ class ConditionKind(Enum):
 _KINDS = (ConditionKind.ABS_DIFF, ConditionKind.SUM)  # by is_sum: cheaper than an Enum attribute lookup
 
 
-@dataclass(frozen=True)
-class PlaneCondition:
+class PlaneCondition(Record):
     """Closed-form independence condition for one plane and Bell label.
 
     The pair is informationally independent exactly when the angle sum (or
@@ -64,8 +62,7 @@ class PlaneCondition:
     target_values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class IndependenceRoot:
+class IndependenceRoot(Record):
     """One solution of theta = 1/4 along a swept parameter."""
 
     sweep_parameter: float

@@ -12,12 +12,11 @@ sweeps use numpy (see _np).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _np as np
 from . import bipartite
 from .bipartite import BellLabel, JointDistribution, ObservablePair
-from .observables import angle_value, require_tolerance
+from .observables import Record, angle_value, require_tolerance
 
 LN2 = math.log(2.0)
 THETA_SLACK = 1e-12
@@ -82,8 +81,7 @@ def is_informationally_independent(dist: JointDistribution, tol: float = DEFAULT
     return abs(dist.p[0] - 0.25) <= tol
 
 
-@dataclass(frozen=True)
-class CrosstalkReport:
+class CrosstalkReport(Record):
     """Information summary of one joint distribution.
 
     theta is the diagonal probability p00; entropy and mutual_info are in

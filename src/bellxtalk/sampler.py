@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from . import _kernels
 from . import _np as np
 from .bipartite import JointDistribution
 from .information import DEFAULT_INDEPENDENCE_TOL, CrosstalkReport, report_from_distribution
+from .observables import Record
 
 
-@dataclass(frozen=True)
-class SampleCounts:
+class SampleCounts(Record):
     """Outcome tallies of one sampling run, in the fixed cell order."""
 
     n: int

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import math
 import os
@@ -12,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellxtalk import bipartite, cli, information
-from bellxtalk.cli import CSV_HEADER, main, run_verification
+from bellxtalk import _kernels, bipartite, cli, information
+from bellxtalk.cli import CSV_HEADER, VerificationResult, main, run_verification
 
 PI = math.pi
 PI_STR = repr(PI)
@@ -251,7 +250,31 @@ class TestVerify:
         assert result.passes(1.0)
         maxima = list(result.maxima)
         maxima[cli.CHECKS.index(check)] = math.nan
-        assert not dataclasses.replace(result, maxima=tuple(maxima)).passes(1.0)
+        assert not VerificationResult(result.samples, result.seed, tuple(maxima), result.worst_tuple).passes(1.0)
+
+    @pytest.mark.parametrize("block,nan_block,nan_row", [(cli.VERIFY_BLOCK_ROWS, 0, 0), (4, 1, 2)])
+    def test_a_nan_gap_is_the_worst_tuple(self, block, nan_block, nan_row, capsys, monkeypatch):
+        # NaN > x is false, so a NaN gap in the first row or a later block must still be the worst row
+        amplitude, calls = _kernels.amplitude_joint, []
+
+        def nan_in_one_row(*columns):
+            cells = amplitude(*columns)
+            if len(calls) == nan_block:
+                cells[nan_row] = math.nan
+            calls.append(None)
+            return cells
+
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", block)
+        monkeypatch.setattr(_kernels, "amplitude_joint", nan_in_one_row)
+        code, out, _ = run_cli(capsys, "verify", "--samples", "10", "--seed", "0")
+        assert code == 1
+        assert "three-method max gap           nan  FAIL" in out
+        columns = [np.concatenate(column) for column in zip(*cli._verify_draws(10, 0))]
+        mu, eta, nu, zeta, s, t = (column[nan_block * block + nan_row] for column in columns)
+        assert out.splitlines()[-2:] == [
+            "worst tuple:",
+            f"  mu={cli._fmt(mu)} eta={cli._fmt(eta)} nu={cli._fmt(nu)} zeta={cli._fmt(zeta)} s={s} t={t}",
+        ]
 
     def test_verify_prints_each_check_once_in_checks_order(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--samples", "20", "--seed", "3")

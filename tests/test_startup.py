@@ -2,8 +2,8 @@
 
 Importing the CLI and building its parser loads no numpy and no module that
 only some commands run; probs, on every route, and independence never load
-numpy; the package resolves its exports on first use. numpy is imported in
-one place, the lazy module bellxtalk._np.
+numpy; no command loads dataclasses; the package resolves its exports on first
+use. numpy is imported in one place, the lazy module bellxtalk._np.
 """
 
 import ast
@@ -20,10 +20,12 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(bellxtalk.__file__)))
 
 #: loaded only by the commands that use them
 DEFERRED = ("numpy", "bellxtalk.independence", "bellxtalk.sampler", "tempfile")
+#: loaded by no command: the records are built on observables.Record
+NEVER = ("dataclasses",)
 
 _PROBE = """
 import contextlib, io, sys
-for name in {deferred!r}:  # tempfile, say, may come with the interpreter's own start-up
+for name in {unloaded!r}:  # tempfile, say, may come with the interpreter's own start-up
     sys.modules.pop(name, None)
 import bellxtalk.cli as cli
 cli.build_parser()
@@ -33,7 +35,7 @@ cli.build_parser()
 
 def _probe(body: str = "", *argv: str) -> list[str]:
     """stdout lines of body, run in a fresh interpreter after importing the CLI and building its parser."""
-    code = _PROBE.format(deferred=DEFERRED, body=body)
+    code = _PROBE.format(unloaded=DEFERRED + NEVER, body=body)
     result = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=SRC),
                             capture_output=True, text=True, check=True)
     return result.stdout.splitlines()
@@ -42,12 +44,12 @@ def _probe(body: str = "", *argv: str) -> list[str]:
 _AFTER_MAIN = """
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "dataclasses" in sys.modules)
 """
 
 
 def test_importing_the_cli_defers_numpy_and_the_command_modules():
-    assert _probe("print(*sorted(set({deferred!r}) & set(sys.modules)))".format(deferred=DEFERRED)) == [""]
+    assert _probe("print(*sorted(set({deferred!r}) & set(sys.modules)))".format(deferred=DEFERRED + NEVER)) == [""]
 
 
 @pytest.mark.parametrize("argv", [
@@ -60,7 +62,7 @@ def test_importing_the_cli_defers_numpy_and_the_command_modules():
     ("independence", "--plane", "z0", "--s", "1", "--t", "1", "--eta", "90", "--deg"),
 ], ids=" ".join)
 def test_one_pair_commands_never_import_numpy(argv):
-    assert _probe(_AFTER_MAIN, *argv) == ["0 False"]
+    assert _probe(_AFTER_MAIN, *argv) == ["0 False False"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -69,7 +71,7 @@ def test_one_pair_commands_never_import_numpy(argv):
     ("sample", "--n", "10"),
 ], ids=" ".join)
 def test_array_commands_import_numpy(argv):
-    assert _probe(_AFTER_MAIN, *argv) == ["0 True"]
+    assert _probe(_AFTER_MAIN, *argv) == ["0 True False"]
 
 
 def test_every_export_resolves_to_its_module_object():
@@ -119,7 +121,8 @@ print("numpy" in sys.modules, first is observables.SIGMA2, "SIGMA2" in vars(obse
     assert _probe(body) == ["False True", "True True True"]
 
 
-def test_only_the_np_module_imports_numpy():
+def _importers(module: str) -> set[str]:
+    """Names of the package's source files that import module or one of its submodules."""
     importers = set()
     for path in pathlib.Path(bellxtalk.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -129,9 +132,17 @@ def test_only_the_np_module_imports_numpy():
                 names = [node.module]
             else:
                 continue
-            if any(name.partition(".")[0] == "numpy" for name in names):
+            if any(name.partition(".")[0] == module for name in names):
                 importers.add(path.name)
-    assert importers == {"_np.py"}
+    return importers
+
+
+def test_only_the_np_module_imports_numpy():
+    assert _importers("numpy") == {"_np.py"}
+
+
+def test_no_module_imports_dataclasses():
+    assert _importers("dataclasses") == set()
 
 
 def test_np_module_loads_numpy_on_first_use_and_keeps_each_name():
