@@ -127,6 +127,11 @@ class OutcomeFrame(Record):
     def vector(self, k: int, ell: int) -> np.ndarray:
         return self.vectors[2 * k + ell]
 
+    def __eq__(self, other):  # Record's tuple compare has no single truth value for two equal arrays
+        if other.__class__ is self.__class__:
+            return np.array_equal(self.vectors, other.vectors)
+        return NotImplemented
+
 
 def _bell_entries(s, t, where):
     """Amplitudes of (|0 t> + (-1)^s |1 (t+1)>)/sqrt(2) at the basis states 00, 01, 10, 11."""

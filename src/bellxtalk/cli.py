@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import operator
 import os
@@ -487,6 +488,7 @@ def _add_angle_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--deg", action="store_true", help="interpret input angles as degrees")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellxtalk",
@@ -500,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed", "amplitude", "brute", "all"), default="closed")
     p.add_argument("--tol", type=float, default=information.DEFAULT_INDEPENDENCE_TOL,
                    help="independence tolerance on |theta - 1/4|")
-    p.set_defaults(func=cmd_probs)
 
     p = sub.add_parser("sweep", help="parameter sweep emitted as CSV")
     _add_angle_args(p)
@@ -508,13 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="angle range to sweep (repeat for a second axis; first varies slowest)")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.add_argument("--tol", type=float, default=information.DEFAULT_INDEPENDENCE_TOL)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="randomized agreement and invariant checks")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("independence", help="closed-form independence conditions per plane")
     p.add_argument("--plane", choices=sorted(_PLANE_FLAGS), required=True)
@@ -523,14 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None, help="anchor polar angle (planes x0/y0)")
     p.add_argument("--eta", type=float, default=None, help="anchor azimuthal angle (plane z0)")
     p.add_argument("--deg", action="store_true")
-    p.set_defaults(func=cmd_independence)
 
     p = sub.add_parser("sample", help="seeded sampling run with closed-form comparison")
     _add_angle_args(p)
     p.add_argument("--n", type=int, default=10000, help="number of draws")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=information.DEFAULT_INDEPENDENCE_TOL)
-    p.set_defaults(func=cmd_sample)
 
     return parser
 
@@ -542,7 +539,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # looked up per call, so a handler replaced on this module is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

@@ -55,7 +55,6 @@ def sample(dist: JointDistribution, n: int, seed: int) -> SampleCounts:
     if not 0 <= seed <= _kernels._U64_MAX:
         raise ValueError("seed must be an unsigned 64-bit integer")
     cdf = np.cumsum(dist.as_array())
-    cdf[3] = 1.0  # guard the top bin against rounding in the cumulative sum
     counts = _kernels.sample_counts(cdf, n, np.uint64(seed))
     return SampleCounts(n=n, counts=counts, seed=seed)
 

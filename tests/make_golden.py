@@ -37,7 +37,7 @@ import os
 import random
 
 from bellxtalk.bipartite import BellLabel, ObservablePair
-from bellxtalk.cli import build_parser, main
+from bellxtalk.cli import main
 from bellxtalk.independence import (
     condition_x_plane,
     condition_y_plane,
@@ -203,8 +203,7 @@ def library_text() -> str:
 
 
 def probs_text() -> str:
-    """stdout of ``probs --method all`` over the edge grid and the four labels, parsed by one parser."""
-    parser = build_parser()
+    """stdout of ``probs --method all`` over the edge grid and the four labels."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         for mu in EDGE_POLAR:
@@ -212,10 +211,9 @@ def probs_text() -> str:
                 for nu in EDGE_POLAR:
                     for zeta in EDGE_AZIMUTH:
                         for s, t in LABELS:
-                            args = parser.parse_args([
+                            assert main([
                                 "probs", "--method", "all", "--mu", repr(mu), "--eta", repr(eta),
-                                "--nu", repr(nu), "--zeta", repr(zeta), "--s", str(s), "--t", str(t)])
-                            assert args.func(args) == 0
+                                "--nu", repr(nu), "--zeta", repr(zeta), "--s", str(s), "--t", str(t)]) == 0
     return out.getvalue()
 
 

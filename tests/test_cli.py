@@ -898,3 +898,24 @@ def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
     assert err == "error: out of memory: Unable to allocate 298. GiB for an array\n"
     assert out.read_bytes() == b"previous contents\n"
     assert os.listdir(tmp_path) == ["sweep.csv"]
+
+
+@pytest.mark.parametrize("command, handler", [
+    ("probs", "cmd_probs"),
+    ("sweep", "cmd_sweep"),
+    ("verify", "cmd_verify"),
+    ("independence", "cmd_independence"),
+    ("sample", "cmd_sample"),
+])
+def test_main_runs_the_handler_named_by_the_command(monkeypatch, command, handler):
+    seen = []
+
+    def stub(args):
+        seen.append(args.command)
+        return 7
+
+    monkeypatch.setattr(cli, handler, stub)
+    extra = ["--plane", "x0", "--s", "0", "--t", "1"] if command == "independence" else []
+    assert main([command, *extra]) == 7
+    assert seen == [command]
+    assert cli.build_parser() is cli.build_parser()

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from bellxtalk.bipartite import BellLabel, JointDistribution, ObservablePair, OutcomeFrame
+from bellxtalk.bipartite import BellLabel, JointDistribution, ObservablePair, OutcomeFrame, outcome_frame
 from bellxtalk.cli import VerificationResult
 from bellxtalk.independence import ConditionKind, IndependenceRoot, PlaneCondition
 from bellxtalk.information import CrosstalkReport, crosstalk_report
@@ -82,8 +82,13 @@ def test_pickle_round_trips(cls, fields):
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is cls
     assert repr(copy) == repr(record)
-    if cls is not OutcomeFrame:  # comparing two equal arrays has no single truth value
-        assert copy == record
+    assert copy == record
+
+
+def test_outcome_frames_compare_by_their_vectors():
+    pair = ObservablePair(Observable(0.5, 1.0), Observable(1.0, 2.0))
+    assert outcome_frame(pair) == outcome_frame(pair)
+    assert outcome_frame(pair) != outcome_frame(ObservablePair(Observable(0.5, 1.0), Observable(1.0, 2.5)))
 
 
 def test_unpickling_validates_the_fields_again():
