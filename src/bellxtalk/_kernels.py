@@ -49,8 +49,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64_MAX = 2**64 - 1
 
-#: draws mixed per chunk; the numpy sampler's three 512 KB uint64 buffers stay in L2
-_SAMPLE_CHUNK = 1 << 16
+#: draws mixed per chunk; the numpy sampler's three 256 KB uint64 buffers stay in L2
+_SAMPLE_CHUNK = 1 << 15
 
 
 def _closed_cells(mu, eta, nu, zeta, s, t, sin, cos):

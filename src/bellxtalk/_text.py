@@ -1,8 +1,9 @@
 """``"%.17g" %`` texts of whole float columns as NUL-padded byte matrices.
 
 ``floats(values)`` gives each value's text as one ASCII row of a ``uint8``
-matrix, NUL-padded on the right; ``lines(fields)`` joins such matrices and
-constant fields into CSV rows.
+matrix, NUL-padded on the right; ``lines(fields)`` joins such matrices, rows
+gathered from them by index and constant fields into CSV rows, one slice of
+rows at a time, so its memory is one slice whatever the row count.
 
 Fast path, for ``1e-4 <= x < 1e17``, where ``%.17g`` is fixed notation with
 decimal exponent ``k`` in ``[-4, 16]``. Let ``p = 16 - k``. ``ldexp(x, p)``
@@ -24,8 +25,8 @@ from . import _np as np
 
 #: widest fast-path text: "0.000" and 17 digits
 _WIDTH = 22
-#: CSV rows compressed and decoded at a time
-_SLICE_ROWS = 1024
+#: CSV rows laid out, compressed and decoded at a time
+_SLICE_ROWS = 512
 #: a row of digit cells is five words: '.', '0', NUL and digit 0, then digits 1-16 four to a word
 _DOT, _ZERO, _NUL, _FIRST = 0, 1, 2, 3
 
@@ -119,21 +120,36 @@ def floats(values: np.ndarray) -> np.ndarray:
 
 
 def lines(fields):
-    """Yield the CSV text of rows whose fields are text matrices or bytes that every row shares.
+    """Yield the CSV text of rows whose fields are text matrices, gathered texts or shared bytes.
 
-    The fields are joined by commas and each row ends in a newline. The rows
-    are laid out in one uint8 matrix; each slice of _SLICE_ROWS rows is
-    compressed to its cells that are not NUL.
+    A field is a text matrix with one row per CSV row, a ``(texts, index)``
+    pair whose row i is ``texts[index[i]]``, or bytes that every row shares;
+    a one-row matrix is one row, not a shared field. The fields are joined
+    by commas and each row ends in a newline. The rows are laid out
+    _SLICE_ROWS at a time in one reused uint8 buffer, whose shared bytes are
+    written once; each slice gathers its rows of every text field, and is
+    compressed to its cells that are not NUL and yielded as one str.
     """
     parts = [part for field in fields for part in (field, b",")]
     parts[-1] = b"\n"
-    rows = next(len(part) for part in parts if isinstance(part, np.ndarray))
-    widths = [part.shape[1] if isinstance(part, np.ndarray) else len(part) for part in parts]
-    buf = np.empty((rows, sum(widths)), dtype=np.uint8)
+    shared, gathered = [], []
     column = 0
-    for part, width in zip(parts, widths):
-        buf[:, column:column + width] = np.frombuffer(part, np.uint8) if isinstance(part, bytes) else part
-        column += width
+    for part in parts:
+        if isinstance(part, bytes):
+            shared.append((slice(column, column + len(part)), np.frombuffer(part, np.uint8)))
+            column += len(part)
+        else:
+            matrix, index = (part, None) if isinstance(part, np.ndarray) else part
+            gathered.append((slice(column, column + matrix.shape[1]), matrix, index))
+            column += matrix.shape[1]
+    _, matrix, index = gathered[0]
+    rows = len(matrix) if index is None else len(index)
+    buf = np.empty((min(rows, _SLICE_ROWS), column), dtype=np.uint8)
+    for cells, text in shared:
+        buf[:, cells] = text
     for start in range(0, rows, _SLICE_ROWS):
-        block = buf[start:start + _SLICE_ROWS]
+        stop = min(start + _SLICE_ROWS, rows)
+        block = buf[:stop - start]
+        for cells, matrix, index in gathered:
+            block[:, cells] = matrix[start:stop] if index is None else matrix[index[start:stop]]
         yield block[block != 0].tobytes().decode("ascii")

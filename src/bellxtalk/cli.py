@@ -226,16 +226,16 @@ def _write_sweep_rows(handle, label, grid, probs, entropy, mutual, degree, indep
 
     Every float's text is ``"%.17g" % x``, the text of ``_fmt(x)``, made one
     column at a time by ``_text.floats``. Each angle's block values (see
-    _sweep_grid) are formatted once and their texts gathered by row index.
-    The rows are Bell-shaped as joint_closed_batch gives them, p11 == p00 and
-    p10 == p01 bit for bit, so p11 and p10 reuse the texts of p00 and p01.
-    The label bits are the same on every row. The rows go to handle as str,
-    about a thousand at a time, so any text handle takes them: the --out temp
-    file, sys.stdout or a StringIO.
+    _sweep_grid) are formatted once and gathered by row index a slice at a
+    time. The rows are Bell-shaped as joint_closed_batch gives them, p11 ==
+    p00 and p10 == p01 bit for bit, so p11 and p10 reuse the texts of p00 and
+    p01. The label bits are the same on every row. The rows go to handle as
+    str, 512 at a time, so any text handle takes them: the --out temp file,
+    sys.stdout or a StringIO.
     """
     from . import _text
 
-    angles = [_text.floats(values)[index] for values, index in map(grid.get, _ANGLE_NAMES)]
+    angles = [(_text.floats(values), index) for values, index in map(grid.get, _ANGLE_NAMES)]
     p00, p01 = (_text.floats(probs[:, k]) for k in (0, 1))
     flags = (independent + ord("0")).astype(np.uint8)[:, None]  # 0 or 1
     fields = [*angles, str(label.s).encode(), str(label.t).encode(), p00, p01, p01, p00,

@@ -149,7 +149,7 @@ def sweep_cases() -> list[tuple[str, ...]]:
         # two axes, 3 x 2731 = 8193 rows: two blocks and a row
         ("sweep", "--vary", f"nu=0:{pi}:3", "--vary", f"zeta=0:{two_pi}:2731", "--mu", "0.75",
          "--eta", "2.5", "--s", "0", "--t", "1"),
-        # 1023, 1024, 1025 and 2049 rows, across the edges of the 1024-row slices the text is joined in
+        # 1023, 1024, 1025 and 2049 rows, across the edges of the 512-row slices the text is joined in
         ("sweep", "--vary", f"mu=0:{pi}:1023", "--eta", "1.5", "--nu", "2.0", "--zeta", "3.5",
          "--s", "1", "--t", "0"),
         ("sweep", "--vary", f"zeta=0:{two_pi}:1024", "--mu", "0.25", "--eta", "5.5", "--nu", "1.75",

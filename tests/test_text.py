@@ -1,12 +1,15 @@
 """The sweep's column formatter against "%.17g" % on every value, and its CSV row joiner."""
 
+import collections
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -75,6 +78,52 @@ def test_lines_joins_text_and_shared_fields():
     a, b = _text.floats([0.5, 3.0]), _text.floats([1e20, -2.5])
     rows = "".join(_text.lines([b"x", a, b"1", b"0", b, b"y"]))
     assert rows == "x,0.5,1,0,1e+20,y\nx,3,1,0,-2.5,y\n"
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 9])
+def test_lines_joins_every_field_kind_across_slice_edges(monkeypatch, rows):
+    # 1, S - 1, S, S + 1 and 2S + 1 rows of 4-row slices; one row is also a one-row sweep
+    monkeypatch.setattr(_text, "_SLICE_ROWS", 4)
+    rng = np.random.default_rng(rows)
+    column = rng.uniform(0, 7, rows)
+    column[::2] = [1e20, -0.0, 2.5e-300, math.inf, math.pi][:len(column[::2])]  # wider than 22
+    axis = np.array([0.1, 1e17, 0.75])
+    index = rng.integers(0, len(axis), rows)
+    fixed = np.array([2 * math.pi])  # a one-row matrix, gathered for every row
+    fields = [b"x", _text.floats(column), (_text.floats(axis), index), b"1",
+              (_text.floats(fixed), np.zeros(rows, np.intp)), _text.floats(column[::-1]), b"y"]
+    texts = list(_text.lines(fields))
+    assert len(texts) == -(-rows // 4)
+    expected = [f"x,{'%.17g' % a},{'%.17g' % axis[k]},1,{'%.17g' % fixed[0]},{'%.17g' % b},y\n"
+                for a, k, b in zip(column.tolist(), index.tolist(), column[::-1].tolist())]
+    assert "".join(texts) == "".join(expected)
+
+
+def test_lines_working_set_is_a_slice_not_the_rows(monkeypatch, capsys):
+    # the fields of one 4096-row sweep block, as the sweep hands them to lines
+    captured = []
+    monkeypatch.setattr(_text, "lines", lambda fields: captured.append(fields) or [])
+    argv = ["sweep", "--vary", "mu=0:3:64", "--vary", "zeta=0:6:64", "--eta", "0.5", "--nu", "1.5"]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    monkeypatch.undo()
+    (fields,) = captured
+
+    def width(field):
+        if isinstance(field, bytes):
+            return len(field)
+        return (field if isinstance(field, np.ndarray) else field[0]).shape[1]
+
+    rows, row_width = cli.SWEEP_BLOCK_ROWS, sum(map(width, fields)) + len(fields)
+    drain = collections.deque(maxlen=0).extend  # keeps none of the yielded text
+    drain(_text.lines(fields))
+    tracemalloc.start()
+    try:
+        drain(_text.lines(fields))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * row_width / 2
 
 
 def test_importing_the_cli_leaves_the_formatter_unloaded():
