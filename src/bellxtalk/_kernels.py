@@ -20,7 +20,13 @@ the draws whose top 53 bits, scaled to a double, are <= c.
 Inputs are assumed pre-validated: angle arrays are 1-d float64 of one shared
 length, s/t are int64 arrays of that length, psi is complex128 with shape
 (n, 4). Probability outputs have shape (n, 4) in the fixed cell order
-(0,0),(0,1),(1,0),(1,1) and are not clamped.
+(0,0),(0,1),(1,0),(1,1) and are not clamped. The ndarray route allocates the
+output once and fills it tile by tile, _TILE = 1024 rows at a time, from the
+cell helper evaluated on that tile's rows. A tile's row temporaries are then
+8 KB (float) or 16 KB (complex), below glibc's 128 KB mmap threshold, so they
+are reused from the heap rather than mapped and page-faulted afresh in every
+call, and the cells of the whole input are never held at once. Every cell is
+elementwise in its rows, so the bits do not depend on the tiling.
 
 The four probability kernels also take lists of floats and 0/1 ints (brute
 force: a list of rows of 4 numbers for psi), which the one-pair routes pass
@@ -51,6 +57,20 @@ _U64_MAX = 2**64 - 1
 
 #: draws mixed per chunk; the numpy sampler's three 256 KB uint64 buffers stay in L2
 _SAMPLE_CHUNK = 1 << 15
+#: rows per slice of a probability kernel's ndarray output; see the module docstring
+_TILE = 1024
+
+
+def _tiled(cells, columns, *funcs):
+    """The (n, 4) float64 array of cells(*columns, *funcs), filled one _TILE-row slice at a time.
+
+    Each column is sliced on its last axis, which holds the rows.
+    """
+    out = np.empty((columns[0].shape[-1], 4))
+    for start in range(0, len(out), _TILE):
+        rows = slice(start, start + _TILE)
+        out[rows].T[...] = cells(*[column[..., rows] for column in columns], *funcs)  # cell k to column k
+    return out
 
 
 def _closed_cells(mu, eta, nu, zeta, s, t, sin, cos):
@@ -76,7 +96,6 @@ def _closed_alt_cells(mu, eta, nu, zeta, s, t, sin, cos, where):
     tr_t1_azim = where(t_is_0, sin(half_azim), cos(half_azim))
     half_mu, half_nu = 0.5 * mu, 0.5 * nu
     cross = cos(half_mu) * cos(half_nu) * sin(half_mu) * sin(half_nu)
-    del cos_dif, sin_dif, half_mu, half_nu  # kept to the end, they raised the peak of a call by 4 row arrays
     term = (2.0 * sign_s * sign_t) * (tr_t1_azim * tr_t1_azim) * cross
     diag = 0.5 * (tr_t_dif * tr_t_dif) - term
     off = 0.5 * (tr_t1_dif * tr_t1_dif) + term
@@ -92,14 +111,14 @@ def closed_joint(mu, eta, nu, zeta, s, t):
     """Joint probabilities (1 +- c)/4 from the correlation c = a.S b of the Bloch vectors."""
     if isinstance(mu, list):
         return [_closed_cells(*row, math.sin, math.cos) for row in zip(mu, eta, nu, zeta, s, t)]
-    return np.stack(_closed_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos), axis=1)
+    return _tiled(_closed_cells, (mu, eta, nu, zeta, s, t), np.sin, np.cos)
 
 
 def closed_joint_alt(mu, eta, nu, zeta, s, t):
     """Closed forms in the half-angle sums; the every-call cross-check of closed_joint."""
     if isinstance(mu, list):
         return [_closed_alt_cells(*row, math.sin, math.cos, _pick) for row in zip(mu, eta, nu, zeta, s, t)]
-    return np.stack(_closed_alt_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos, np.where), axis=1)
+    return _tiled(_closed_alt_cells, (mu, eta, nu, zeta, s, t), np.sin, np.cos, np.where)
 
 
 def _amplitude_cells(mu, eta, nu, zeta, s, t, sin, cos, exp, where):
@@ -150,7 +169,7 @@ def amplitude_joint(mu, eta, nu, zeta, s, t):
         import cmath
 
         return [_amplitude_cells(*row, math.sin, math.cos, cmath.exp, _pick) for row in zip(mu, eta, nu, zeta, s, t)]
-    return np.stack(_amplitude_cells(mu, eta, nu, zeta, s, t, np.sin, np.cos, np.exp, np.where), axis=1)
+    return _tiled(_amplitude_cells, (mu, eta, nu, zeta, s, t), np.sin, np.cos, np.exp, np.where)
 
 
 def bruteforce_joint(mu, eta, nu, zeta, psi):
@@ -163,7 +182,7 @@ def bruteforce_joint(mu, eta, nu, zeta, psi):
         import cmath
 
         return [_bruteforce_cells(*row, math.sin, math.cos, cmath.exp) for row in zip(mu, eta, nu, zeta, psi)]
-    return np.stack(_bruteforce_cells(mu, eta, nu, zeta, psi.T, np.sin, np.cos, np.exp), axis=1)
+    return _tiled(_bruteforce_cells, (mu, eta, nu, zeta, psi.T), np.sin, np.cos, np.exp)
 
 
 def _draw_bound(c):

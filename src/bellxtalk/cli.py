@@ -307,9 +307,9 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
 
     Draws (mu, eta, nu, zeta, s, t) uniformly, VERIFY_BLOCK_ROWS tuples at a
     time from _verify_draws, which gives a seed the same tuples whatever the
-    block size. Every route (closed, alternate closed, amplitude, brute
-    force), reduction and check runs on one block, and its maxima fold into
-    running maxima, so memory stays at one block whatever the sample count.
+    block size. Each route, reduction and check runs on one block (the
+    variant gap first, so the alternate closed route is not held through the
+    rest) and folds into running maxima: memory stays at one block.
     The worst tuple is the first row, over all blocks, with the largest
     three-method gap.
     """
@@ -323,7 +323,7 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
     for mu, eta, nu, zeta, s, t in _verify_draws(samples, seed):
         angles = mu, eta, nu, zeta
         closed = bipartite.joint_closed_batch(*angles, s, t, check=False)
-        alternate = bipartite.joint_closed_alt_batch(*angles, s, t)
+        variant_gap = np.abs(closed - bipartite.joint_closed_alt_batch(*angles, s, t)).max()
         amplitude = bipartite.joint_amplitude_batch(*angles, s, t)
         brute = bipartite.joint_bruteforce_batch(*angles, bipartite.bell_state_batch(s, t))
 
@@ -347,7 +347,7 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
                 np.abs(brute[:, 0] + brute[:, 2] - 0.5).max(),
                 np.abs(brute[:, 1] + brute[:, 3] - 0.5).max(),
             ),
-            np.abs(closed - alternate).max(),
+            variant_gap,
             _max_commutator_norm(*angles),
         ])
         # the first row with the largest gap, a NaN counting as largest, as argmax counts it in a block

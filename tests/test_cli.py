@@ -870,6 +870,20 @@ def test_commutator_block_peak_stays_small():
     assert peak < 1.5 * 2**20
 
 
+def test_verify_block_peak_stays_small():
+    # the kernels fill their outputs one tile at a time and the variant gap
+    # is folded before amplitude and brute force run: about 1.1 MB, against
+    # 2.0 MB with whole-block cell temporaries and the alternate route held
+    cli.run_verification(cli.VERIFY_BLOCK_ROWS, 6)
+    tracemalloc.start()
+    try:
+        cli.run_verification(cli.VERIFY_BLOCK_ROWS, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 def test_point_route_variant_disagreement_exits_1(capsys, monkeypatch):
     alternate = bipartite._kernels.closed_joint_alt
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellxtalk import _kernels, bipartite
+from bellxtalk import _kernels, bipartite, cli
 from test_bipartite import EDGE_AZIMUTH, EDGE_POLAR, LABELS, _edge_grid
 
 
@@ -193,6 +193,40 @@ def test_probability_kernels_return_n_by_4_arrays(name, n):
     rows = kernel(*(a.tolist() for a in arrays))
     assert isinstance(rows, list) and len(rows) == n
     assert all(isinstance(row, tuple) and len(row) == 4 and all(type(x) is float for x in row) for row in rows)
+
+
+#: each ndarray kernel against np.stack of its cell helper on the whole columns, the pre-tiling form
+_WHOLE_COLUMNS = {
+    "closed_joint": lambda *rows: _kernels._closed_cells(*rows, np.sin, np.cos),
+    "closed_joint_alt": lambda *rows: _kernels._closed_alt_cells(*rows, np.sin, np.cos, np.where),
+    "amplitude_joint": lambda *rows: _kernels._amplitude_cells(*rows, np.sin, np.cos, np.exp, np.where),
+    "bruteforce_joint": lambda mu, eta, nu, zeta, psi: _kernels._bruteforce_cells(
+        mu, eta, nu, zeta, psi.T, np.sin, np.cos, np.exp),
+}
+
+
+#: no rows, one, either side of one tile's edge, and a verify block past its last whole tile
+TILE_EDGE_ROWS = [0, 1, _kernels._TILE - 1, _kernels._TILE, _kernels._TILE + 1, cli.VERIFY_BLOCK_ROWS + 3]
+
+
+@pytest.mark.parametrize("name", CLOSED_KERNELS + ORACLE_KERNELS)
+@pytest.mark.parametrize("n", TILE_EDGE_ROWS)
+def test_tiled_output_is_bit_identical_to_whole_column_cells(name, n):
+    rng = np.random.default_rng(n)
+    args = _kernel_args(name, *_random_angles(rng, n), rng.integers(0, 2, n), rng.integers(0, 2, n))
+    got = getattr(_kernels, name)(*args)
+    assert got.shape == (n, 4) and got.dtype == np.float64
+    assert np.array_equal(got, np.stack(_WHOLE_COLUMNS[name](*args), axis=1))
+
+
+@pytest.mark.parametrize("n", TILE_EDGE_ROWS)
+def test_tiled_bruteforce_is_bit_identical_on_non_bell_states(n):
+    rng = np.random.default_rng(100 + n)
+    angles = _random_angles(rng, n)
+    psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    got = _kernels.bruteforce_joint(*angles, psi)
+    assert np.array_equal(got, np.stack(_WHOLE_COLUMNS["bruteforce_joint"](*angles, psi), axis=1))
 
 
 _IMPORT_PROBE = """
