@@ -122,21 +122,28 @@ def closed_joint_alt(mu, eta, nu, zeta, s, t):
 
 
 def _amplitude_cells(mu, eta, nu, zeta, s, t, sin, cos, exp, where):
-    """Cells 0.5*|amp|^2 of the two-term interference amplitudes, in INDEX_ORDER."""
+    """Cells 0.5*|amp|^2 of the two-term interference amplitudes, in INDEX_ORDER.
+
+    Each product tr_m[i] * tr_n[j] and each signed phase is formed once,
+    from the same operands as written out per cell, so the bits are the same.
+    """
     tr_m = (cos(0.5 * mu), sin(0.5 * mu))
     tr_n = (cos(0.5 * nu), sin(0.5 * nu))
+    tr = [[tr_m[i] * tr_n[j] for j in (0, 1)] for i in (0, 1)]
     ph_a = exp(-1j * eta)
     ph_b = exp(-1j * zeta)
     ph_ab = ph_a * ph_b
     sign_s = 1.0 - 2.0 * s
     t_is_0 = t == 0
+    signs = (1.0, -1.0)  # 1 - 2k for k = 0, 1, and (1 - 2k)(1 - 2l) for k ^ l = 0, 1
+    ph_ab_by = [sign * ph_ab for sign in signs]
+    ph_a_by = [sign * ph_a for sign in signs]
+    ph_b_by = [(sign_s * sign) * ph_b for sign in signs]
     cells = []
     for k in (0, 1):
-        sk = 1.0 - 2.0 * k
         for ell in (0, 1):
-            sl = 1.0 - 2.0 * ell
-            amp_t0 = (sk * sl) * ph_ab * (tr_m[k] * tr_n[ell]) + sign_s * (tr_m[1 - k] * tr_n[1 - ell])
-            amp_t1 = sk * ph_a * (tr_m[k] * tr_n[1 - ell]) + (sign_s * sl) * ph_b * (tr_m[1 - k] * tr_n[ell])
+            amp_t0 = ph_ab_by[k ^ ell] * tr[k][ell] + sign_s * tr[1 - k][1 - ell]
+            amp_t1 = ph_a_by[k] * tr[k][1 - ell] + ph_b_by[ell] * tr[1 - k][ell]
             amp = where(t_is_0, amp_t0, amp_t1)
             cells.append(0.5 * (amp.real * amp.real + amp.imag * amp.imag))
     return tuple(cells)

@@ -311,7 +311,7 @@ def has_equal_marginals(dist: JointDistribution, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# batch wrappers over the kernels (validated, clamped)
+# batch wrappers over the kernels (validated, clamped in place)
 # ---------------------------------------------------------------------------
 
 def _point_row(pair: ObservablePair, label: BellLabel):
@@ -380,19 +380,19 @@ def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.nda
     if check:
         alternate = _kernels.closed_joint_alt(mu, eta, nu, zeta, s, t)
         _require_variant_agreement(primary, alternate)
-    return np.clip(primary, 0.0, 1.0)
+    return np.clip(primary, 0.0, 1.0, out=primary)
 
 
 def joint_closed_alt_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
     """Half-angle closed-form probabilities; shape (n, 4), clamped to [0, 1]."""
-    mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
-    return np.clip(_kernels.closed_joint_alt(mu, eta, nu, zeta, s, t), 0.0, 1.0)
+    p = _kernels.closed_joint_alt(*_validated_rows(mu, eta, nu, zeta, s, t))
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def joint_amplitude_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
     """Amplitude-formula probabilities; shape (n, 4), clamped to [0, 1]."""
-    mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
-    return np.clip(_kernels.amplitude_joint(mu, eta, nu, zeta, s, t), 0.0, 1.0)
+    p = _kernels.amplitude_joint(*_validated_rows(mu, eta, nu, zeta, s, t))
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def joint_bruteforce_batch(mu, eta, nu, zeta, psi) -> np.ndarray:
@@ -407,7 +407,8 @@ def joint_bruteforce_batch(mu, eta, nu, zeta, psi) -> np.ndarray:
     if bad.any():
         row = int(bad.argmax())
         raise ValueError(f"state vector at row {row} has norm {norms[row]}, expected 1")
-    return np.clip(_kernels.bruteforce_joint(mu, eta, nu, zeta, psi), 0.0, 1.0)
+    p = _kernels.bruteforce_joint(mu, eta, nu, zeta, psi)
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def _require_variant_agreement(primary, alternate) -> None:

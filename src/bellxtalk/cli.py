@@ -41,9 +41,10 @@ CSV_HEADER = "mu,eta,nu,zeta,s,t,p00,p01,p10,p11,entropy,mutual_info,degree,inde
 #: the information columns, the formatting and the write run one block at a
 #: time, so sweep's memory stays at one block whatever the grid size
 SWEEP_BLOCK_ROWS = 4096
-#: verify tuples per block; the draws and every route, reduction and check run
-#: one block at a time, so verify's memory stays at one block whatever --samples
-VERIFY_BLOCK_ROWS = 4096
+#: verify tuples per block; the draws and every route and check run one block
+#: at a time, so verify's memory stays at one block whatever --samples. Half
+#: sweep's block, for a lower peak; column-slice checks pay for the blocks
+VERIFY_BLOCK_ROWS = 2048
 
 _ANGLE_NAMES = tuple(bipartite.ANGLE_BOUNDS)
 _PLANE_FLAGS = {"x0": Plane.X_ZERO, "y0": Plane.Y_ZERO, "z0": Plane.Z_ZERO}
@@ -306,12 +307,13 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
     """Cross-validate the three probability routes on random angle tuples.
 
     Draws (mu, eta, nu, zeta, s, t) uniformly, VERIFY_BLOCK_ROWS tuples at a
-    time from _verify_draws, which gives a seed the same tuples whatever the
-    block size. Each route, reduction and check runs on one block (the
-    variant gap first, so the alternate closed route is not held through the
-    rest) and folds into running maxima: memory stays at one block.
-    The worst tuple is the first row, over all blocks, with the largest
-    three-method gap.
+    time from _verify_draws, the same tuples for a seed whatever the block
+    size. Each block's routes and checks fold into running maxima, and its
+    arrays are dropped before the next block's kernels run: memory stays at
+    one block. Checks read column slices and views, not costlier axis=1
+    reductions (row sums add in m.sum(axis=1)'s order), and numpy folds them:
+    a NaN anywhere a check reads makes it NaN. The worst tuple is the first
+    row, over all blocks, with the largest three-method gap.
     """
     samples, seed = operator.index(samples), operator.index(seed)  # TypeError for a float
     if samples < 1:
@@ -327,29 +329,20 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
         amplitude = bipartite.joint_amplitude_batch(*angles, s, t)
         brute = bipartite.joint_bruteforce_batch(*angles, bipartite.bell_state_batch(s, t))
 
-        method_gap = np.maximum(
+        gap = np.maximum(
             np.abs(closed - amplitude),
             np.maximum(np.abs(closed - brute), np.abs(amplitude - brute)),
-        ).max(axis=1)
-        worst = int(method_gap.argmax())
+        )
+        worst, cell = divmod(int(gap.argmax()), 4)  # the first row holding the largest gap
         block_maxima = np.array([  # in CHECKS order
-            method_gap[worst],
-            max(np.abs(m.sum(axis=1) - 1.0).max() for m in (closed, amplitude, brute)),
-            max(
-                np.abs(amplitude[:, 0] - amplitude[:, 3]).max(),
-                np.abs(amplitude[:, 1] - amplitude[:, 2]).max(),
-                np.abs(brute[:, 0] - brute[:, 3]).max(),
-                np.abs(brute[:, 1] - brute[:, 2]).max(),
-            ),
-            max(
-                np.abs(brute[:, 0] + brute[:, 1] - 0.5).max(),
-                np.abs(brute[:, 2] + brute[:, 3] - 0.5).max(),
-                np.abs(brute[:, 0] + brute[:, 2] - 0.5).max(),
-                np.abs(brute[:, 1] + brute[:, 3] - 0.5).max(),
-            ),
+            gap[worst, cell],
+            np.max([np.abs(m[:, 0] + m[:, 1] + m[:, 2] + m[:, 3] - 1.0) for m in (closed, amplitude, brute)]),
+            np.maximum(np.abs(amplitude - amplitude[:, ::-1]), np.abs(brute - brute[:, ::-1])).max(),
+            np.abs(brute[:, [0, 2, 0, 1]] + brute[:, [1, 3, 2, 3]] - 0.5).max(),
             variant_gap,
             _max_commutator_norm(*angles),
         ])
+        del closed, amplitude, brute, gap
         # the first row with the largest gap, a NaN counting as largest, as argmax counts it in a block
         if worst_tuple is None or (not block_maxima[0] <= maxima[0] and not np.isnan(maxima[0])):
             worst_tuple = (

@@ -276,6 +276,48 @@ class TestVerify:
             f"  mu={cli._fmt(mu)} eta={cli._fmt(eta)} nu={cli._fmt(nu)} zeta={cli._fmt(zeta)} s={s} t={t}",
         ]
 
+    #: the checks that read each route, by the kernel that computes the route
+    FEEDS = {
+        "closed_joint": {"three-method max gap", "normalization error", "closed-variant gap"},
+        "closed_joint_alt": {"closed-variant gap"},
+        "amplitude_joint": {"three-method max gap", "normalization error", "diagonal symmetry gap"},
+        "bruteforce_joint": {
+            "three-method max gap", "normalization error", "diagonal symmetry gap", "marginal deviation from 1/2",
+        },
+    }
+
+    @staticmethod
+    def _plant_nan(monkeypatch, kernel, cell=0):
+        """Make _kernels.<kernel> give NaN in row 0, column cell, of every block."""
+        original = getattr(_kernels, kernel)
+
+        def planted(*columns):
+            cells = original(*columns)
+            cells[0, cell] = math.nan
+            return cells
+
+        monkeypatch.setattr(_kernels, kernel, planted)
+
+    @pytest.mark.parametrize("check", cli.CHECKS)
+    @pytest.mark.parametrize("kernel", FEEDS)
+    def test_a_nan_route_makes_each_check_it_feeds_nan(self, kernel, check, monkeypatch):
+        # a Python max() over the routes kept a NaN only when it came first: a NaN
+        # amplitude cell (0, 0) left the normalization error at 3.3e-16
+        self._plant_nan(monkeypatch, kernel)
+        maxima = dict(zip(cli.CHECKS, run_verification(10, 0).maxima, strict=True))
+        assert math.isnan(maxima[check]) == (check in self.FEEDS[kernel])
+
+    @pytest.mark.parametrize("samples,seed", [(1, 0), (7, 3), (cli.VERIFY_BLOCK_ROWS + 5, 11), (3000, 2**63 + 5)])
+    def test_column_checks_are_bit_identical_to_axis1_reductions(self, samples, seed):
+        _assert_same_bits(run_verification(samples, seed).maxima, _axis1_maxima(samples, seed))
+
+    @pytest.mark.parametrize("cell", range(4))
+    @pytest.mark.parametrize("kernel", FEEDS)
+    def test_column_checks_are_bit_identical_to_axis1_reductions_with_a_nan(self, kernel, cell, monkeypatch):
+        self._plant_nan(monkeypatch, kernel, cell)
+        samples = cli.VERIFY_BLOCK_ROWS + 5
+        _assert_same_bits(run_verification(samples, 4).maxima, _axis1_maxima(samples, 4))
+
     def test_verify_prints_each_check_once_in_checks_order(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--samples", "20", "--seed", "3")
         assert code == 0
@@ -370,6 +412,48 @@ class TestVerify:
         statuses = {l[:32].strip(): l.split()[-1] for l in out.splitlines() if l.endswith(("OK", "FAIL"))}
         assert len(statuses) == 6
         return {name: status for name, status in statuses.items() if status != "OK"}
+
+
+def _axis1_maxima(samples, seed):
+    """verify's maxima from the (n, 4) reductions along axis=1 it used before
+    its column slices, each check folded over its routes with np.max."""
+    blocks = []
+    for mu, eta, nu, zeta, s, t in cli._verify_draws(samples, seed):
+        angles = mu, eta, nu, zeta
+        closed = bipartite.joint_closed_batch(*angles, s, t, check=False)
+        alternate = bipartite.joint_closed_alt_batch(*angles, s, t)
+        amplitude = bipartite.joint_amplitude_batch(*angles, s, t)
+        brute = bipartite.joint_bruteforce_batch(*angles, bipartite.bell_state_batch(s, t))
+        method_gap = np.maximum(
+            np.abs(closed - amplitude),
+            np.maximum(np.abs(closed - brute), np.abs(amplitude - brute)),
+        ).max(axis=1)
+        blocks.append([
+            method_gap.max(),
+            np.max([np.abs(m.sum(axis=1) - 1.0).max() for m in (closed, amplitude, brute)]),
+            np.max([
+                np.abs(amplitude[:, 0] - amplitude[:, 3]).max(),
+                np.abs(amplitude[:, 1] - amplitude[:, 2]).max(),
+                np.abs(brute[:, 0] - brute[:, 3]).max(),
+                np.abs(brute[:, 1] - brute[:, 2]).max(),
+            ]),
+            np.max([
+                np.abs(brute[:, 0] + brute[:, 1] - 0.5).max(),
+                np.abs(brute[:, 2] + brute[:, 3] - 0.5).max(),
+                np.abs(brute[:, 0] + brute[:, 2] - 0.5).max(),
+                np.abs(brute[:, 1] + brute[:, 3] - 0.5).max(),
+            ]),
+            np.abs(closed - alternate).max(),
+            cli._max_commutator_norm(*angles),
+        ])
+    return np.max(blocks, axis=0)
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestIndependenceCommand:
@@ -871,17 +955,22 @@ def test_commutator_block_peak_stays_small():
 
 
 def test_verify_block_peak_stays_small():
-    # the kernels fill their outputs one tile at a time and the variant gap
-    # is folded before amplitude and brute force run: about 1.1 MB, against
-    # 2.0 MB with whole-block cell temporaries and the alternate route held
-    cli.run_verification(cli.VERIFY_BLOCK_ROWS, 6)
-    tracemalloc.start()
-    try:
-        cli.run_verification(cli.VERIFY_BLOCK_ROWS, 6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+    # the kernels fill their outputs one tile at a time, the variant gap is
+    # folded before amplitude and brute force run, and each block's arrays are
+    # dropped before the next block's kernels run: 0.70 MB over one or two
+    # blocks of 2048 tuples, against 1.13 and 1.28 MB over blocks of 4096 whose
+    # arrays lived into the next block
+    peaks = []
+    for blocks in (1, 2):
+        cli.run_verification(blocks * cli.VERIFY_BLOCK_ROWS, 6)
+        tracemalloc.start()
+        try:
+            cli.run_verification(blocks * cli.VERIFY_BLOCK_ROWS, 6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1.075 * 2**20
+    assert peaks[1] - peaks[0] < 32 * 2**10  # one (n, 4) array kept into the next block is 64 KB
 
 
 def test_point_route_variant_disagreement_exits_1(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """The numpy kernels: brute force and the sampler against independent references, the
 probability kernels' one-row math path against their ndarray path, and what the package imports."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -227,6 +228,43 @@ def test_tiled_bruteforce_is_bit_identical_on_non_bell_states(n):
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     got = _kernels.bruteforce_joint(*angles, psi)
     assert np.array_equal(got, np.stack(_WHOLE_COLUMNS["bruteforce_joint"](*angles, psi), axis=1))
+
+
+def _amplitude_cells_per_cell(mu, eta, nu, zeta, s, t, sin, cos, exp, where):
+    """_amplitude_cells with every product and signed phase written out per cell, as it was first written."""
+    tr_m = (cos(0.5 * mu), sin(0.5 * mu))
+    tr_n = (cos(0.5 * nu), sin(0.5 * nu))
+    ph_a = exp(-1j * eta)
+    ph_b = exp(-1j * zeta)
+    ph_ab = ph_a * ph_b
+    sign_s = 1.0 - 2.0 * s
+    cells = []
+    for k in (0, 1):
+        sk = 1.0 - 2.0 * k
+        for ell in (0, 1):
+            sl = 1.0 - 2.0 * ell
+            amp_t0 = (sk * sl) * ph_ab * (tr_m[k] * tr_n[ell]) + sign_s * (tr_m[1 - k] * tr_n[1 - ell])
+            amp_t1 = sk * ph_a * (tr_m[k] * tr_n[1 - ell]) + (sign_s * sl) * ph_b * (tr_m[1 - k] * tr_n[ell])
+            amp = where(t == 0, amp_t0, amp_t1)
+            cells.append(0.5 * (amp.real * amp.real + amp.imag * amp.imag))
+    return tuple(cells)
+
+
+@pytest.mark.parametrize("grid", ["random", "edge"])
+def test_amplitude_cells_are_bit_identical_to_the_per_cell_form(grid):
+    # each product and signed phase is formed once, from the operands the per-cell form used
+    if grid == "edge":
+        columns = _edge_grid(EDGE_POLAR, EDGE_AZIMUTH)
+    else:
+        rng = np.random.default_rng(26)
+        columns = (*_random_angles(rng, 5000), rng.integers(0, 2, 5000), rng.integers(0, 2, 5000))
+    got = _kernels._amplitude_cells(*columns, np.sin, np.cos, np.exp, np.where)
+    want = _amplitude_cells_per_cell(*columns, np.sin, np.cos, np.exp, np.where)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+    for row in list(zip(*(column.tolist() for column in columns)))[:500]:
+        got = _kernels._amplitude_cells(*row, math.sin, math.cos, cmath.exp, _kernels._pick)
+        want = _amplitude_cells_per_cell(*row, math.sin, math.cos, cmath.exp, _kernels._pick)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 _IMPORT_PROBE = """
