@@ -11,23 +11,28 @@ path, cross-checked on every call against an alternate closed form in the
 half-angle sums.
 
 Batches go through the joint_*_batch wrappers, which validate the arrays and
-clamp. A single pair (joint_distribution_closed, _amplitude and
-_bruteforce) calls its kernels directly on one-element lists, which they
-evaluate with math and cmath rather than numpy: the Observable and BellLabel
-constructors have validated its angles and bits, joint_distribution_bruteforce
-checks psi in plain Python, and JointDistribution checks and clamps the
-cells. The closed-variant cross-check runs on both routes, on the single
-pair's row as plain floats, and fails on a gap beyond CLOSED_VARIANT_TOL or
-a NaN.
+clamp the kernel's output in place (_clamped). verify runs the same steps
+itself, so that each block is validated once (_validated_rows) for all four
+kernels and its one table of Bell states is norm-checked once per run
+(_unit_states, the brute-force wrapper's rule). A single pair
+(joint_distribution_closed, _amplitude and _bruteforce) calls its kernels
+directly on one-element lists, which they evaluate with math and cmath
+rather than numpy: the Observable and BellLabel constructors have validated
+its angles and bits, joint_distribution_bruteforce checks psi in plain
+Python, and JointDistribution checks and clamps the cells. The
+closed-variant cross-check runs on both routes, on the single pair's row as
+plain floats, and fails on a gap beyond CLOSED_VARIANT_TOL or a NaN.
 
 Each piece of two-qubit algebra is written once, with the row index last:
 the lifts A tensor I and I tensor B (lift_first, lift_second, on a 2x2
 operator or a (2, 2, n) stack), the lifted commutator norms
 (commutator_norms) and the Bell-state entries (_bell_entries). The one-pair
 functions (commutator_norm, bell_state, bell_state_row) are one-row calls of
-them. commutator_norms lifts the four matrix units once per call and expands
-each row's commutator in their 16 commutators; when all 16 are zero, as with
-correct lifts, every finite row's norm is zero.
+them. commutator_basis lifts the four matrix units and forms their 16
+commutators, and commutator_norms expands each row's commutator in them,
+building the basis on each call unless it is given one (verify builds it
+once per run); when all 16 are zero, as with correct lifts, every finite
+row's norm is zero.
 
 A single pair through any of the three routes uses no numpy name, given
 bell_state_row rather than bell_state for brute force, so it loads no numpy
@@ -272,22 +277,35 @@ def commutator_norm(pair: ObservablePair) -> float:
     return float(commutator_norms(*np.array([[pair.a.mu], [pair.a.eta], [pair.b.mu], [pair.b.eta]]))[0])
 
 
-def commutator_norms(mu, eta, nu, zeta) -> np.ndarray:
-    """Frobenius norm of [A tensor I, I tensor B] for each row of angles; shape (n,).
+def commutator_basis() -> np.ndarray:
+    """The 16 commutators [lift_first(E_pq), lift_second(E_rs)] of the matrix units, as a (16, 16) array.
 
-    The lifts are linear (a test checks this) and the matrix units E_pq span
-    every 2x2 operator, so a row's commutator is the sum of A_pq B_rs times
-    [lift_first(E_pq), lift_second(E_rs)]. Those 16 are built once per call,
-    and all rows are then one (16, 16) @ (16, n) product. When all 16 are
-    zero, as with correct lifts, each row with finite angles has norm zero and
-    no row's matrices are built; a nonzero entry, or a non-finite angle, whose
-    row norm is NaN, takes the product. Angles are 1-d float arrays of one
-    length and are not validated.
+    Column 4i + j holds the commutator of E_i and E_j (E_pq at 2p + q),
+    flattened; commutator_norms expands each row in them. It is built from
+    the current lifts on each call and never kept, so a lift replaced on this
+    module reaches the next basis.
     """
     units = np.eye(4, dtype=np.complex128).reshape(2, 2, 4)  # E_pq at 2p + q
     lift_a = lift_first(np.repeat(units, 4, axis=2))  # column 4i + j pairs E_i with E_j
     lift_b = lift_second(np.tile(units, 4))
-    basis = (np.einsum("ikn,kjn->ijn", lift_a, lift_b) - np.einsum("ikn,kjn->ijn", lift_b, lift_a)).reshape(16, 16)
+    return (np.einsum("ikn,kjn->ijn", lift_a, lift_b) - np.einsum("ikn,kjn->ijn", lift_b, lift_a)).reshape(16, 16)
+
+
+def commutator_norms(mu, eta, nu, zeta, basis=None) -> np.ndarray:
+    """Frobenius norm of [A tensor I, I tensor B] for each row of angles; shape (n,).
+
+    The lifts are linear (a test checks this) and the matrix units E_pq span
+    every 2x2 operator, so a row's commutator is the sum of A_pq B_rs times
+    [lift_first(E_pq), lift_second(E_rs)]. Those 16 are commutator_basis(),
+    built on this call unless a caller that runs many blocks passes the basis
+    it built once, and all rows are then one (16, 16) @ (16, n) product. When
+    all 16 are zero, as with correct lifts, each row with finite angles has
+    norm zero and no row's matrices are built; a nonzero entry, or a
+    non-finite angle, whose row norm is NaN, takes the product. Angles are
+    1-d float arrays of one length and are not validated.
+    """
+    if basis is None:
+        basis = commutator_basis()
     if not basis.any() and all(np.isfinite(angle).all() for angle in (mu, eta, nu, zeta)):
         return np.zeros(len(mu))
     a = matrices(mu, eta).reshape(4, -1)
@@ -364,9 +382,28 @@ def _validated_bits(values, n: int, name: str) -> np.ndarray:
 
 
 def _validated_rows(mu, eta, nu, zeta, s, t):
-    mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
-    n = mu.shape[0]
-    return mu, eta, nu, zeta, _validated_bits(s, n, "s"), _validated_bits(t, n, "t")
+    angles = _validated_angles(mu, eta, nu, zeta)
+    n = len(angles[0])
+    return *angles, _validated_bits(s, n, "s"), _validated_bits(t, n, "t")
+
+
+def _unit_states(psi, n: int) -> np.ndarray:
+    """psi as a contiguous (n, 4) complex128 array, checked to hold finite states of unit norm."""
+    psi = np.ascontiguousarray(_numeric(psi, "psi", "biufc"), dtype=np.complex128)
+    if psi.shape != (n, 4):
+        raise ValueError(f"psi must have shape ({n}, 4), got {psi.shape}")
+    parts = psi.view(np.float64)  # re, im of each entry side by side
+    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN and inf rows as well
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(f"state vector at row {row} has norm {norms[row]}, expected 1")
+    return psi
+
+
+def _clamped(p: np.ndarray) -> np.ndarray:
+    """A kernel's fresh (n, 4) output p, clamped to [0, 1] in place."""
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.ndarray:
@@ -375,40 +412,27 @@ def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.nda
     With check=True the alternate half-angle closed form is evaluated as well
     and compared.
     """
-    mu, eta, nu, zeta, s, t = _validated_rows(mu, eta, nu, zeta, s, t)
-    primary = _kernels.closed_joint(mu, eta, nu, zeta, s, t)
+    rows = _validated_rows(mu, eta, nu, zeta, s, t)
+    primary = _kernels.closed_joint(*rows)
     if check:
-        alternate = _kernels.closed_joint_alt(mu, eta, nu, zeta, s, t)
-        _require_variant_agreement(primary, alternate)
-    return np.clip(primary, 0.0, 1.0, out=primary)
+        _require_variant_agreement(primary, _kernels.closed_joint_alt(*rows))
+    return _clamped(primary)
 
 
 def joint_closed_alt_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
     """Half-angle closed-form probabilities; shape (n, 4), clamped to [0, 1]."""
-    p = _kernels.closed_joint_alt(*_validated_rows(mu, eta, nu, zeta, s, t))
-    return np.clip(p, 0.0, 1.0, out=p)
+    return _clamped(_kernels.closed_joint_alt(*_validated_rows(mu, eta, nu, zeta, s, t)))
 
 
 def joint_amplitude_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
     """Amplitude-formula probabilities; shape (n, 4), clamped to [0, 1]."""
-    p = _kernels.amplitude_joint(*_validated_rows(mu, eta, nu, zeta, s, t))
-    return np.clip(p, 0.0, 1.0, out=p)
+    return _clamped(_kernels.amplitude_joint(*_validated_rows(mu, eta, nu, zeta, s, t)))
 
 
 def joint_bruteforce_batch(mu, eta, nu, zeta, psi) -> np.ndarray:
     """Born-rule probabilities against finite unit states psi (n, 4); clamped to [0, 1]."""
-    mu, eta, nu, zeta = _validated_angles(mu, eta, nu, zeta)
-    psi = np.ascontiguousarray(_numeric(psi, "psi", "biufc"), dtype=np.complex128)
-    if psi.shape != (mu.shape[0], 4):
-        raise ValueError(f"psi must have shape ({mu.shape[0]}, 4), got {psi.shape}")
-    parts = psi.view(np.float64)  # re, im of each entry side by side
-    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN and inf rows as well
-    if bad.any():
-        row = int(bad.argmax())
-        raise ValueError(f"state vector at row {row} has norm {norms[row]}, expected 1")
-    p = _kernels.bruteforce_joint(mu, eta, nu, zeta, psi)
-    return np.clip(p, 0.0, 1.0, out=p)
+    angles = _validated_angles(mu, eta, nu, zeta)
+    return _clamped(_kernels.bruteforce_joint(*angles, _unit_states(psi, len(angles[0]))))
 
 
 def _require_variant_agreement(primary, alternate) -> None:

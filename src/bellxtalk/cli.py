@@ -5,11 +5,13 @@ verify (randomized cross-validation of the three probability routes),
 independence (closed-form angle conditions), sample (seeded sampling run).
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
-The algebra lives in the library: sweep and verify call the batch routes
-(verify also bipartite.commutator_norms) one block of rows at a time, so
-neither holds more than one block. The sweep CSV's text is exactly
-``"%.17g" %`` of each float; _text makes it one numpy pass per column of a
-block.
+The algebra lives in the library, and sweep and verify run it one block of
+rows at a time, so neither holds more than one block. sweep calls
+joint_closed_batch. verify validates each block's columns once and runs the
+four probability kernels on them itself, clamped as the batch routes clamp,
+with the Bell states and the commutator basis built once per run. The sweep
+CSV's text is exactly ``"%.17g" %`` of each float; _text makes it one numpy
+pass per column of a block.
 
 Importing this module loads no numpy (see _np), and probs, on any --method,
 never does. Each command imports the rest itself: _text for the first sweep
@@ -29,6 +31,7 @@ import sys
 
 from . import _np as np
 from . import bipartite, information
+from . import _kernels  # after bipartite: its compile, start-up's peak, rises if _kernels is loaded first
 from .bipartite import BellLabel, InternalConsistencyError, ObservablePair
 from .observables import Observable, Plane, Record, require_tolerance
 
@@ -308,12 +311,19 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
 
     Draws (mu, eta, nu, zeta, s, t) uniformly, VERIFY_BLOCK_ROWS tuples at a
     time from _verify_draws, the same tuples for a seed whatever the block
-    size. Each block's routes and checks fold into running maxima, and its
-    arrays are dropped before the next block's kernels run: memory stays at
-    one block. Checks read column slices and views, not costlier axis=1
-    reductions (row sums add in m.sum(axis=1)'s order), and numpy folds them:
-    a NaN anywhere a check reads makes it NaN. The worst tuple is the first
-    row, over all blocks, with the largest three-method gap.
+    size. Each block's six columns are validated once, by the batch routes'
+    rule, and the four probability kernels, looked up on _kernels when they
+    run, take them directly; each output is clamped in place as the batch
+    routes clamp it, so the checks read the same bits. The four Bell states,
+    a table whose row 2s + t is bell_state_batch(s, t), are norm-checked by
+    the brute-force route's rule, and the commutator basis is built from the
+    current lifts, both once per run. Each block's routes and checks fold
+    into running maxima, and its arrays are dropped before the next block's
+    kernels run: memory stays at one block. Checks read column slices and
+    views, not costlier axis=1 reductions (row sums add in m.sum(axis=1)'s
+    order), and numpy folds them: a NaN anywhere a check reads makes it NaN.
+    The worst tuple is the first row, over all blocks, with the largest
+    three-method gap.
     """
     samples, seed = operator.index(samples), operator.index(seed)  # TypeError for a float
     if samples < 1:
@@ -322,12 +332,15 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
         raise ValueError("seed must be a non-negative integer")
     maxima = np.full(len(CHECKS), -np.inf)
     worst_tuple = None
-    for mu, eta, nu, zeta, s, t in _verify_draws(samples, seed):
-        angles = mu, eta, nu, zeta
-        closed = bipartite.joint_closed_batch(*angles, s, t, check=False)
-        variant_gap = np.abs(closed - bipartite.joint_closed_alt_batch(*angles, s, t)).max()
-        amplitude = bipartite.joint_amplitude_batch(*angles, s, t)
-        brute = bipartite.joint_bruteforce_batch(*angles, bipartite.bell_state_batch(s, t))
+    clamped = bipartite._clamped
+    bell = bipartite._unit_states(bipartite.bell_state_batch([0, 0, 1, 1], [0, 1, 0, 1]), 4)  # row 2s + t
+    basis = bipartite.commutator_basis()
+    for block in _verify_draws(samples, seed):
+        *angles, s, t = columns = bipartite._validated_rows(*block)
+        closed = clamped(_kernels.closed_joint(*columns))
+        variant_gap = np.abs(closed - clamped(_kernels.closed_joint_alt(*columns))).max()
+        amplitude = clamped(_kernels.amplitude_joint(*columns))
+        brute = clamped(_kernels.bruteforce_joint(*angles, bell[2 * s + t]))
 
         gap = np.maximum(
             np.abs(closed - amplitude),
@@ -340,15 +353,12 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
             np.maximum(np.abs(amplitude - amplitude[:, ::-1]), np.abs(brute - brute[:, ::-1])).max(),
             np.abs(brute[:, [0, 2, 0, 1]] + brute[:, [1, 3, 2, 3]] - 0.5).max(),
             variant_gap,
-            _max_commutator_norm(*angles),
+            _max_commutator_norm(*angles, basis),
         ])
         del closed, amplitude, brute, gap
         # the first row with the largest gap, a NaN counting as largest, as argmax counts it in a block
         if worst_tuple is None or (not block_maxima[0] <= maxima[0] and not np.isnan(maxima[0])):
-            worst_tuple = (
-                float(mu[worst]), float(eta[worst]), float(nu[worst]), float(zeta[worst]),
-                int(s[worst]), int(t[worst]),
-            )
+            worst_tuple = tuple(column[worst].item() for column in columns)
         np.maximum(maxima, block_maxima, out=maxima)
 
     return VerificationResult(samples, seed, tuple(maxima.tolist()), worst_tuple)
@@ -388,9 +398,9 @@ def _verify_draws(samples: int, seed: int):
         )
 
 
-def _max_commutator_norm(mu, eta, nu, zeta) -> float:
-    """Largest Frobenius norm of [A (x) I, I (x) B] over one block of rows."""
-    return float(bipartite.commutator_norms(mu, eta, nu, zeta).max())
+def _max_commutator_norm(mu, eta, nu, zeta, basis=None) -> float:
+    """Largest Frobenius norm of [A (x) I, I (x) B] over one block of rows; see bipartite.commutator_norms."""
+    return float(bipartite.commutator_norms(mu, eta, nu, zeta, basis).max())
 
 
 def cmd_verify(args) -> int:

@@ -119,11 +119,20 @@ def crosstalk_report(pair: ObservablePair, label: BellLabel, tol: float = DEFAUL
 # vectorized row helpers for sweeps and grids; p has shape (n, 4)
 # ---------------------------------------------------------------------------
 
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Row sums of an (n, 4) array from its column slices, which numpy adds faster than along axis=1.
+
+    The bits are those of terms.sum(axis=1), which adds the columns in the
+    same order, save that a row of four -0.0 sums to -0.0 here and 0.0 there.
+    """
+    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+
+
 def shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, -p * np.log(p), 0.0)
-    return terms.sum(axis=1)
+    return _row_sums(terms)
 
 
 def mutual_information_rows(p: np.ndarray) -> np.ndarray:
@@ -135,7 +144,7 @@ def mutual_information_rows(p: np.ndarray) -> np.ndarray:
     product = np.stack([pa0 * pb0, pa0 * pb1, pa1 * pb0, pa1 * pb1], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(p / product), 0.0)
-    return np.maximum(terms.sum(axis=1), 0.0)
+    return np.maximum(_row_sums(terms), 0.0)
 
 
 def degree_rows(mutual_info: np.ndarray) -> np.ndarray:

@@ -620,6 +620,19 @@ class TestCommutator:
         assert math.isnan(norms[2])
         assert np.array_equal(np.delete(norms, 2), np.zeros(4))
 
+    def test_a_given_basis_is_used_as_it_is(self, monkeypatch):
+        angles = _random_angles(71, 300)
+        correct = commutator_norms(*angles)
+        assert commutator_norms(*angles, bipartite.commutator_basis()).tobytes() == correct.tobytes()
+        monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)
+        wrong_basis = bipartite.commutator_basis()
+        wrong = commutator_norms(*angles)
+        assert commutator_norms(*angles, wrong_basis).tobytes() == wrong.tobytes()
+        monkeypatch.undo()
+        # the caller's basis outlives the lift that built it; only a new basis sees the correct lift
+        assert commutator_norms(*angles, wrong_basis).tobytes() == wrong.tobytes()
+        assert wrong.min() > 0.0
+
     def test_a_lift_patched_between_calls_reaches_the_next_call(self, monkeypatch):
         # the basis commutators are built on every call, never kept from an earlier one
         angles = _random_angles(59, 40)

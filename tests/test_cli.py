@@ -378,6 +378,59 @@ class TestVerify:
         n = 16384
         assert (peak(4 * n) - peak(n)) / (3 * n) < 1
 
+    @staticmethod
+    def _count_calls(monkeypatch, module, name):
+        """Record the arguments of each call of module.<name>, which still runs."""
+        original, calls = getattr(module, name), []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_each_block_is_validated_once(self, monkeypatch):
+        # the batch routes validated the same six columns in three routes of every block
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", 7)
+        calls = self._count_calls(monkeypatch, bipartite, "validated_angle")
+        run_verification(20, 5)  # blocks of 7, 7 and 6 tuples
+        assert [name for name, _ in calls] == ["mu", "eta", "nu", "zeta"] * 3
+
+    def test_the_lifts_run_once_per_run(self, monkeypatch):
+        # the commutator basis is built once per run, not per block, and not kept between runs
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", 7)
+        lifts = [self._count_calls(monkeypatch, bipartite, name) for name in ("lift_first", "lift_second")]
+        run_verification(20, 5)
+        assert [len(calls) for calls in lifts] == [1, 1]
+        run_verification(20, 5)
+        assert [len(calls) for calls in lifts] == [2, 2]
+
+    def test_brute_force_gets_the_bits_of_bell_state_batch_for_every_label(self, monkeypatch):
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", 7)
+        calls = self._count_calls(monkeypatch, _kernels, "bruteforce_joint")
+        run_verification(20, 5)
+        blocks = list(cli._verify_draws(20, 5))
+        assert len(calls) == len(blocks) == 3
+        labels = set()
+        for (*_, psi), (*_, s, t) in zip(calls, blocks):
+            assert psi.dtype == np.complex128
+            assert psi.tobytes() == bipartite.bell_state_batch(s, t).tobytes()
+            labels.update(zip(s.tolist(), t.tolist()))
+        assert labels == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_a_bell_state_off_unit_norm_is_refused_before_any_block(self, monkeypatch):
+        bell_state_batch = bipartite.bell_state_batch
+        monkeypatch.setattr(bipartite, "bell_state_batch", lambda s, t: 1.1 * bell_state_batch(s, t))
+        blocks = self._count_calls(monkeypatch, bipartite, "_validated_rows")
+        with pytest.raises(ValueError, match="state vector at row 0 has norm 1.1"):
+            run_verification(5, 0)
+        assert blocks == []
+
+    def test_the_worst_tuple_holds_plain_floats_and_ints(self):
+        worst = run_verification(50, 2).worst_tuple
+        assert [type(value) for value in worst] == [float] * 4 + [int] * 2
+
     def test_planted_wrong_lift_fails_the_commutator_check(self, capsys, monkeypatch):
         # B lifted onto the first factor: [A (x) I, B (x) I] = [A, B] (x) I is not zero
         monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellxtalk import _kernels, bipartite, sampler
+from bellxtalk import _kernels, bipartite, information, sampler
 from bellxtalk.bipartite import BellLabel, JointDistribution, ObservablePair
 from bellxtalk.information import (
     LN2,
@@ -212,6 +212,27 @@ class TestRowHelpers:
         assert shannon_entropy_rows(rows)[1] == 0.0
         assert mutual_information_rows(rows)[0] == pytest.approx(LN2, abs=1e-15)
         assert mutual_information_rows(rows)[1] == 0.0
+
+
+    @pytest.mark.parametrize("n", [1, 5, 4096, 4099])
+    def test_row_sums_are_bit_identical_to_axis1_sums(self, n):
+        # the helpers add the four columns in turn instead of terms.sum(axis=1), same bits
+        rng = np.random.default_rng(n)
+        rows = rng.dirichlet(np.ones(4), size=n)
+        rows[rng.random((n, 4)) < 0.3] = 0.0  # zero cells, one to four per row
+        rows[::7] = [1.0, 0.0, 0.0, 0.0]  # -p*log(p) is -0.0 at p = 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entropy_terms = np.where(rows > 0.0, -rows * np.log(rows), 0.0)
+            pa = rows[:, [0, 0, 2, 2]] + rows[:, [1, 1, 3, 3]]  # each cell's row marginal
+            pb = rows[:, [0, 1, 0, 1]] + rows[:, [2, 3, 2, 3]]  # and its column marginal
+            mutual_terms = np.where(rows > 0.0, rows * np.log(rows / (pa * pb)), 0.0)
+        assert shannon_entropy_rows(rows).tobytes() == entropy_terms.sum(axis=1).tobytes()
+        assert mutual_information_rows(rows).tobytes() == np.maximum(mutual_terms.sum(axis=1), 0.0).tobytes()
+
+    def test_row_sums_differ_from_axis1_only_in_the_sign_of_an_all_negative_zero_row(self):
+        terms = np.array([[-0.0, -0.0, -0.0, -0.0], [-0.0, 0.0, -0.0, -0.0], [1e-300, -1e-300, 0.5, -0.5]])
+        assert information._row_sums(terms).tobytes() == np.array([-0.0, 0.0, 0.0]).tobytes()
+        assert terms.sum(axis=1).tobytes() == np.array([0.0, 0.0, 0.0]).tobytes()
 
 
 def test_point_report_calls_the_kernels_once_each(monkeypatch):

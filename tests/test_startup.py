@@ -98,6 +98,32 @@ def test_cold_probs_all_peak_stays_below_the_compile_step():
     assert int(result.stderr.split()[-1]) <= 1.70 * 2**20
 
 
+#: each module's compile peak on its own, in MB, stays below this limit, which
+#: lies between today's peak and the peak past the module's next allocation
+#: step: cli.py 1.54 today and 1.77 past its step, about 70 tokens on;
+#: bipartite.py 1.15 today, 1.48 just before its step, about 1000 tokens on,
+#: and 1.69 past it
+COMPILE_STEP_LIMITS = {"cli.py": 1.66, "bipartite.py": 1.58}
+
+_COMPILE = """
+import sys, tracemalloc
+with open(sys.argv[1], encoding="utf-8") as handle:
+    source = handle.read()
+tracemalloc.start()
+compile(source, sys.argv[1], "exec")
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("module, limit_mb", COMPILE_STEP_LIMITS.items())
+def test_each_large_module_compiles_below_its_next_step(module, limit_mb):
+    # the whole-run guard above says that a step was crossed; this one says which file crossed it
+    path = os.path.join(SRC, "bellxtalk", module)
+    result = subprocess.run([sys.executable, "-c", _COMPILE, path], capture_output=True, text=True, check=True)
+    peak_mb = int(result.stdout) / 2**20
+    assert peak_mb <= limit_mb, f"{module} compiles at {peak_mb:.3f} MB, past its next step (limit {limit_mb} MB)"
+
+
 def test_every_export_resolves_to_its_module_object():
     body = """
 import importlib
