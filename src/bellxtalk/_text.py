@@ -3,7 +3,9 @@
 ``floats(values)`` gives each value's text as one ASCII row of a ``uint8``
 matrix, NUL-padded on the right; ``lines(fields)`` joins such matrices, rows
 gathered from them by index and constant fields into CSV rows, one slice of
-rows at a time, so its memory is one slice whatever the row count.
+rows at a time, so its memory is one slice whatever the row count. Each
+intermediate column of ``floats`` is computed in place where it can be and
+dropped at its last use, so a call holds a few columns besides its text.
 
 Fast path, for ``1e-4 <= x < 1e17``, where ``%.17g`` is fixed notation with
 decimal exponent ``k`` in ``[-4, 16]``. Let ``p = 16 - k``. ``ldexp(x, p)``
@@ -64,10 +66,27 @@ def _scaled(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     pow5_high, pow5_low = _tables()[:2]
     b_high, b_low = pow5_high[p], pow5_low[p]
     a = np.ldexp(x, p)
+    del p
     a_high, a_low = _split(a)
-    hi = a * (b_high + b_low)
-    lo = a_high * b_high - hi + a_high * b_low + a_low * b_high + a_low * b_low
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    hi = b_high + b_low
+    hi *= a
+    del a
+    # lo = a_high * b_high - hi + a_high * b_low + a_low * b_high + a_low * b_low, left to right
+    lo = a_high * b_high
+    lo -= hi
+    a_high *= b_low
+    lo += a_high
+    del a_high
+    b_high *= a_low
+    lo += b_high
+    del b_high
+    a_low *= b_low
+    lo += a_low
+    del a_low, b_low
+    d = hi.astype(np.int64)
+    del hi
+    d += np.rint(lo, out=lo).astype(np.int64)
+    return d
 
 
 def _fixed(x: np.ndarray) -> np.ndarray:
@@ -83,19 +102,25 @@ def _fixed(x: np.ndarray) -> np.ndarray:
         k[up] += 1
         d[up] = _scaled(x[up], k[up])
     first, rest = np.divmod(d, 10**16)
+    del d
     high, low = (half.astype(np.uint32) for half in np.divmod(rest, 10**8))
+    del rest
     cells = np.empty((len(x), 5), dtype=np.uint32)
     cells[:, 0] = leads[first]
+    del first
     for column, (quad_high, quad_low) in ((1, np.divmod(high, 10**4)), (3, np.divmod(low, 10**4))):
         cells[:, column], cells[:, column + 1] = words[quad_high], words[quad_low]
+    del high, low
     cells = cells.view(np.uint8)
-    last = 16 - np.argmax(cells[:, _FIRST:][:, ::-1] != ord("0"), axis=1)  # digit 0 is never '0'
-    # "0." and -k - 1 zeros before the digits when k < 0; no '.' when k >= 0 leaves no fraction
-    length = np.where(k < 0, last + 2 - k, np.where(last > k, last + 2, k + 1))
     text = np.empty((len(x), _WIDTH), dtype=np.uint8)
     for group in np.flatnonzero(np.bincount(k + 4, minlength=21)):
         rows = np.flatnonzero(k == group - 4)
         text[rows] = np.take(cells, rows, axis=0)[:, perms[group]]
+    last = 16 - np.argmax(cells[:, _FIRST:][:, ::-1] != ord("0"), axis=1)  # digit 0 is never '0'
+    del cells
+    # "0." and -k - 1 zeros before the digits when k < 0; no '.' when k >= 0 leaves no fraction
+    length = np.where(k < 0, last + 2 - k, np.where(last > k, last + 2, k + 1))
+    del last, k
     text &= np.take(keep, length, axis=0)
     return text
 
@@ -152,4 +177,4 @@ def lines(fields):
         block = buf[:stop - start]
         for cells, matrix, index in gathered:
             block[:, cells] = matrix[start:stop] if index is None else matrix[index[start:stop]]
-        yield block[block != 0].tobytes().decode("ascii")
+        yield str(block[block != 0], "ascii")

@@ -6,17 +6,18 @@ independence (closed-form angle conditions), sample (seeded sampling run).
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 The algebra lives in the library, and sweep and verify run it one block of
-rows at a time, so neither holds more than one block. sweep calls
-joint_closed_batch. verify validates each block's columns once and runs the
-four probability kernels on them itself, clamped as the batch routes clamp,
-with the Bell states and the commutator basis built once per run. The sweep
-CSV's text is exactly ``"%.17g" %`` of each float; _text makes it one numpy
-pass per column of a block.
+rows at a time, so neither holds more than one block. sweep builds each
+block's grid and _sweep.write_block runs joint_closed_batch on it and writes
+its rows. verify validates each block's columns once and runs the four
+probability kernels on them itself, clamped as the batch routes clamp, with
+the Bell states and the commutator basis built once per run. The sweep CSV's
+text is exactly ``"%.17g" %`` of each float; _text makes it one numpy pass
+per column of a block.
 
 Importing this module loads no numpy (see _np), and probs, on any --method,
-never does. Each command imports the rest itself: _text for the first sweep
-block written, tempfile for sweep --out, independence for independence and
-sampler for sample.
+never does. Each command imports the rest itself: _sweep and _text once the
+sweep grid is valid, tempfile for sweep --out, independence for independence
+and sampler for sample.
 """
 
 from __future__ import annotations
@@ -188,64 +189,33 @@ def cmd_sweep(args) -> int:
     """Write the sweep CSV, running the whole pipeline SWEEP_BLOCK_ROWS rows at a time.
 
     The axes and fixed angles are validated before the header is written, so
-    a bad angle anywhere in the grid exits 2 with nothing written. Each block
-    builds its angle columns, runs the closed kernel with its every-call
-    variant check and the information columns, and is formatted and written.
-    Only the axes live for the whole run, so memory stays at one block
-    whatever the grid size. A consistency failure names its row counted from
-    the start of the grid. On stdout the header and the earlier blocks have
-    been written by then; --out is left as it was.
+    a bad angle anywhere in the grid exits 2 with nothing written. Each
+    block's grid is built here and handed to _sweep.write_block, which runs
+    the closed kernel with its every-call variant check and the information
+    columns, formats and writes the rows, and keeps none of its arrays. Only
+    the axes live for the whole run, so memory stays at one block whatever
+    the grid size. A consistency failure names its row counted from the start
+    of the grid. On stdout the header and the earlier blocks have been
+    written by then; --out is left as it was.
     """
     require_tolerance(args.tol)
     label = BellLabel(args.s, args.t)
     axes, total = _sweep_axes(args)
+    from . import _sweep
 
     out = contextlib.nullcontext(sys.stdout) if args.out == "-" else _replacing(args.out)
     try:
         with out as handle:
             handle.write(CSV_HEADER + "\n")
             for start in range(0, total, SWEEP_BLOCK_ROWS):
-                stop = min(start + SWEEP_BLOCK_ROWS, total)
-                grid = _sweep_grid(axes, start, stop)
-                s = np.full(stop - start, label.s, dtype=np.int64)
-                t = np.full(stop - start, label.t, dtype=np.int64)
                 try:
-                    probs = bipartite.joint_closed_batch(
-                        *(values[index] for values, index in map(grid.get, _ANGLE_NAMES)), s, t
-                    )
+                    _sweep.write_block(handle, _sweep_grid(axes, start, min(start + SWEEP_BLOCK_ROWS, total)),
+                                       label, args.tol)
                 except InternalConsistencyError as exc:  # name the grid row, not the block's
                     raise InternalConsistencyError(exc.gap, start + exc.row) from None
-                entropy = information.shannon_entropy_rows(probs)
-                mutual = information.mutual_information_rows(probs)
-                degree = information.degree_rows(mutual)
-                independent = (np.abs(probs[:, 0] - 0.25) <= args.tol).astype(int)
-                _write_sweep_rows(handle, label, grid, probs, entropy, mutual, degree, independent)
     except OSError as exc:  # name the path given, not _replacing's temp file
         raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     return EXIT_OK
-
-
-def _write_sweep_rows(handle, label, grid, probs, entropy, mutual, degree, independent) -> None:
-    """Write one block's CSV rows to handle.
-
-    Every float's text is ``"%.17g" % x``, the text of ``_fmt(x)``, made one
-    column at a time by ``_text.floats``. Each angle's block values (see
-    _sweep_grid) are formatted once and gathered by row index a slice at a
-    time. The rows are Bell-shaped as joint_closed_batch gives them, p11 ==
-    p00 and p10 == p01 bit for bit, so p11 and p10 reuse the texts of p00 and
-    p01. The label bits are the same on every row. The rows go to handle as
-    str, 512 at a time, so any text handle takes them: the --out temp file,
-    sys.stdout or a StringIO.
-    """
-    from . import _text
-
-    angles = [(_text.floats(values), index) for values, index in map(grid.get, _ANGLE_NAMES)]
-    p00, p01 = (_text.floats(probs[:, k]) for k in (0, 1))
-    flags = (independent + ord("0")).astype(np.uint8)[:, None]  # 0 or 1
-    fields = [*angles, str(label.s).encode(), str(label.t).encode(), p00, p01, p01, p00,
-              *map(_text.floats, (entropy, mutual, degree)), flags]
-    for text in _text.lines(fields):
-        handle.write(text)
 
 
 @contextlib.contextmanager

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellxtalk import _kernels, bipartite, cli, information
+from bellxtalk import _kernels, _sweep, bipartite, cli, information
 from bellxtalk.cli import CSV_HEADER, VerificationResult, main, run_verification
 
 PI = math.pi
@@ -754,8 +754,27 @@ WRITER_CASES = [
     (["--nu", "0", "--s", "0", "--t", "0", "--vary", f"mu=0:1e-3:{BLOCK + 3}"],
      {"mu": np.linspace(0.0, 1e-3, BLOCK + 3), "eta": np.zeros(BLOCK + 3),
       "nu": np.zeros(BLOCK + 3), "zeta": np.zeros(BLOCK + 3)}, 0, 0),
+    # BLOCK - 1, BLOCK, BLOCK + 1 and 2 * BLOCK + 1 rows: one partial block, one
+    # full block, a full block and a one-row block, two full blocks and one row
+    (["--eta", "0.7", "--nu", "1.1", "--zeta", "2.9", "--s", "0", "--t", "1",
+      "--vary", f"mu=0:{PI_STR}:{BLOCK - 1}"],
+     {"mu": np.linspace(0.0, PI, BLOCK - 1), "eta": np.full(BLOCK - 1, 0.7),
+      "nu": np.full(BLOCK - 1, 1.1), "zeta": np.full(BLOCK - 1, 2.9)}, 0, 1),
+    (["--mu", "0.3", "--nu", "2.2", "--s", "1", "--t", "0",
+      "--vary", f"eta=0:{TWO_PI_STR}:64", "--vary", f"zeta=0:{TWO_PI_STR}:{BLOCK // 64}"],
+     {"mu": np.full(BLOCK, 0.3), "eta": np.repeat(np.linspace(0.0, 2 * PI, 64), BLOCK // 64),
+      "nu": np.full(BLOCK, 2.2), "zeta": np.tile(np.linspace(0.0, 2 * PI, BLOCK // 64), 64)}, 1, 0),
+    (["--eta", "4.0", "--zeta", "0.2", "--s", "1", "--t", "1",
+      "--vary", f"nu=0:{PI_STR}:17", "--vary", f"mu=0:{PI_STR}:241"],  # 17 * 241 == BLOCK + 1
+     {"mu": np.tile(np.linspace(0.0, PI, 241), 17), "eta": np.full(BLOCK + 1, 4.0),
+      "nu": np.repeat(np.linspace(0.0, PI, 17), 241), "zeta": np.full(BLOCK + 1, 0.2)}, 1, 1),
+    # mu = nu = 0 in row 0 gives zero cells; p01 and the first tenth of mu lie below 1e-4
+    (["--s", "0", "--t", "0", "--vary", f"mu=0:1e-3:{2 * BLOCK + 1}"],
+     {"mu": np.linspace(0.0, 1e-3, 2 * BLOCK + 1), "eta": np.zeros(2 * BLOCK + 1),
+      "nu": np.zeros(2 * BLOCK + 1), "zeta": np.zeros(2 * BLOCK + 1)}, 0, 0),
 ]
-WRITER_IDS = ["1", "block+1", "2block+7", "deg", "default-angles", "near-pole"]
+WRITER_IDS = ["1", "block+1", "2block+7", "deg", "default-angles", "near-pole",
+              "block-1", "block", "17x241", "2block+1-zero-cells"]
 
 
 class TestSweepWriter:
@@ -794,7 +813,7 @@ class TestSweepWriter:
         class Broken(RuntimeError):
             pass
 
-        write = cli._write_sweep_rows
+        write = _sweep.write_block
 
         def failing_after_first_block(*args):
             blocks.append(args)
@@ -803,7 +822,7 @@ class TestSweepWriter:
             write(*args)
 
         monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 2)
-        monkeypatch.setattr(cli, "_write_sweep_rows", failing_after_first_block)
+        monkeypatch.setattr(_sweep, "write_block", failing_after_first_block)
         with pytest.raises(Broken):
             main(["sweep", "--vary", "nu=0:1:5", "--out", str(out)])
         assert len(blocks) == 2
@@ -977,7 +996,7 @@ class TestUnwritableOut:
         out.write_bytes(b"previous contents\n")
         blocks = []
 
-        write = cli._write_sweep_rows
+        write = _sweep.write_block
 
         def disk_full_after_first_block(*args):
             blocks.append(args)
@@ -986,7 +1005,7 @@ class TestUnwritableOut:
             write(*args)
 
         monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 2)
-        monkeypatch.setattr(cli, "_write_sweep_rows", disk_full_after_first_block)
+        monkeypatch.setattr(_sweep, "write_block", disk_full_after_first_block)
         code, stdout, err = run_cli(capsys, "sweep", "--vary", "nu=0:1:5", "--out", str(out))
         assert code == 2
         assert err == f"error: cannot write {out}: No space left on device\n"
@@ -1024,6 +1043,40 @@ def test_verify_block_peak_stays_small():
             tracemalloc.stop()
     assert peaks[0] < 1.075 * 2**20
     assert peaks[1] - peaks[0] < 32 * 2**10  # one (n, 4) array kept into the next block is 64 KB
+
+
+def _sweep_block_peaks(tmp_path):
+    """Traced peaks of warm sweeps of one and two blocks, each 64 rows of a 64-step zeta axis."""
+    peaks = []
+    for blocks in (1, 2):
+        argv = ["sweep", "--eta", "1.3", "--nu", "2.0", "--vary", f"mu=0:{PI_STR}:{64 * blocks}",
+                "--vary", f"zeta=0:{TWO_PI_STR}:{BLOCK // 64}", "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_sweep_block_peak_stays_small(tmp_path):
+    # each number column is dropped once formatted and no array of a block
+    # lives into the next: 0.93 MB over one or two blocks of 4096 rows, against
+    # 1.38 MB when the block's probabilities, information columns and label
+    # bits lived until the write was done
+    peaks = _sweep_block_peaks(tmp_path)
+    assert peaks[0] < 1.0 * 2**20
+    assert peaks[1] - peaks[0] < 32 * 2**10  # one block's probabilities are 128 KB
+
+
+def test_sweep_block_peak_sees_a_block_kept_into_the_next(tmp_path, monkeypatch):
+    kept = []
+    closed = bipartite.joint_closed_batch
+    monkeypatch.setattr(bipartite, "joint_closed_batch", lambda *args: kept.append(closed(*args)) or kept[-1])
+    peaks = _sweep_block_peaks(tmp_path)
+    assert peaks[1] - peaks[0] >= 32 * 2**10
 
 
 def test_point_route_variant_disagreement_exits_1(capsys, monkeypatch):
