@@ -20,18 +20,21 @@ def write_block(handle, grid, label, tol: float) -> None:
     it is formatted, and the four angles' values are formatted in one call
     and gathered by row index a slice at a time. The rows are Bell-shaped as
     joint_closed_batch gives them, p11 == p00 and p10 == p01 bit for bit, so
-    p11 and p10 reuse the texts of p00 and p01. The label bits are the same
-    on every row. The rows go to handle as str, 512 at a time, so any text
-    handle takes them: the --out temp file, sys.stdout or a StringIO.
+    the information columns are computed from the p00 and p01 columns alone
+    and p11 and p10 reuse their texts. The label bits are the same on every
+    row and stay 0-stride views through the kernel. The rows go to handle as
+    str, 512 at a time, so any text handle takes them: the --out temp file,
+    sys.stdout or a StringIO.
     """
     values, indexes = zip(*map(grid.get, bipartite.ANGLE_BOUNDS))
     s, t = (np.broadcast_to(bit, indexes[0].shape) for bit in (label.s, label.t))  # 0-stride views
     probs = bipartite.joint_closed_batch(*(axis[index] for axis, index in zip(values, indexes)), s, t)
-    entropy = information.shannon_entropy_rows(probs)
-    mutual = information.mutual_information_rows(probs)
+    p00, p01 = probs[:, 0], probs[:, 1]
+    entropy = information.shannon_entropy_rows(p00, p01)
+    mutual = information.mutual_information_rows(p00, p01)
     degree = information.degree_rows(mutual)
-    flags = (np.abs(probs[:, 0] - 0.25) <= tol).astype(np.uint8)[:, None] + ord("0")  # 0 or 1
-    p00, p01 = _text.floats(probs[:, 0]), _text.floats(probs[:, 1])
+    flags = (np.abs(p00 - 0.25) <= tol).astype(np.uint8)[:, None] + ord("0")  # 0 or 1
+    p00, p01 = _text.floats(p00), _text.floats(p01)
     del probs
     entropy = _text.floats(entropy)
     mutual = _text.floats(mutual)

@@ -135,12 +135,12 @@ def floats(values: np.ndarray) -> np.ndarray:
     slow = np.flatnonzero(~fast)
     if not len(slow):
         return text
-    others = ["%.17g" % value for value in values[slow].tolist()]
-    width = max(_WIDTH, *map(len, others))
+    others = np.array(["%.17g" % value for value in values[slow].tolist()], dtype=np.bytes_)  # NUL-padded
+    width = others.itemsize
     if width > _WIDTH:
         text = np.concatenate([text, np.zeros((len(values), width - _WIDTH), np.uint8)], axis=1)
-    padded = b"".join(other.encode("ascii").ljust(width, b"\0") for other in others)
-    text[slow] = np.frombuffer(padded, dtype=np.uint8).reshape(len(others), width)
+    text[slow] = 0
+    text[slow, :width] = others.view(np.uint8).reshape(len(slow), width)
     return text
 
 

@@ -372,13 +372,13 @@ def _validated_angles(mu, eta, nu, zeta):
 
 
 def _validated_bits(values, n: int, name: str) -> np.ndarray:
-    """values as a contiguous int64 array of length n, checked to be 0 or 1 before the cast truncates them."""
+    """values as an int64 array of length n, strides kept, checked to be 0 or 1 before the cast truncates them."""
     arr = _numeric(values, name)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a 1-d array of length {n}")
     if not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
-    return np.ascontiguousarray(arr, dtype=np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def _validated_rows(mu, eta, nu, zeta, s, t):

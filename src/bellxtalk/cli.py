@@ -5,14 +5,10 @@ verify (randomized cross-validation of the three probability routes),
 independence (closed-form angle conditions), sample (seeded sampling run).
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
-The algebra lives in the library, and sweep and verify run it one block of
-rows at a time, so neither holds more than one block. sweep builds each
-block's grid and _sweep.write_block runs joint_closed_batch on it and writes
-its rows. verify validates each block's columns once and runs the four
-probability kernels on them itself, clamped as the batch routes clamp, with
-the Bell states and the commutator basis built once per run. The sweep CSV's
-text is exactly ``"%.17g" %`` of each float; _text makes it one numpy pass
-per column of a block.
+The algebra lives in the library, and sweep (cmd_sweep) and verify
+(run_verification) run it one block of rows at a time, so neither holds
+more than one block. The sweep CSV's text is exactly ``"%.17g" %`` of each
+float, made by _text one numpy pass per column of a block.
 
 Importing this module loads no numpy (see _np), and probs, on any --method,
 never does. Each command imports the rest itself: _sweep and _text once the
@@ -178,6 +174,9 @@ def _sweep_grid(
     grid = {}
     stride = 1
     for name, axis in reversed(axes.items()):
+        if len(axis) == 1:  # a fixed angle: a 0-stride index of zeros
+            grid[name] = axis, np.broadcast_to(0, stop - start)
+            continue
         pos, lo = rows // stride, start // stride
         used = min(int(pos[-1]) - lo + 1, len(axis))
         grid[name] = axis[(lo + np.arange(used)) % len(axis)], (pos - lo) % len(axis)

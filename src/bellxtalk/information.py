@@ -6,7 +6,8 @@ information between the two measurements equals 2*ln(2) - entropy, and zero
 mutual information is equivalent to theta = 1/4.
 
 The one-distribution measures run on plain floats; only the row helpers for
-sweeps use numpy (see _np).
+sweeps use numpy (see _np). Those take Bell rows by their two distinct
+columns, p00 and p01, the form joint_closed_batch gives bit for bit.
 """
 
 from __future__ import annotations
@@ -116,35 +117,27 @@ def crosstalk_report(pair: ObservablePair, label: BellLabel, tol: float = DEFAUL
 
 
 # ---------------------------------------------------------------------------
-# vectorized row helpers for sweeps and grids; p has shape (n, 4)
+# vectorized row helpers for sweeps and grids; each row is a Bell row
+# (p00, p01, p01, p00), given by its two distinct columns p00 and p01
 # ---------------------------------------------------------------------------
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Row sums of an (n, 4) array from its column slices, which numpy adds faster than along axis=1.
+def shannon_entropy_rows(p00: np.ndarray, p01: np.ndarray) -> np.ndarray:
+    """Each Bell row's entropy in nats, its four cells' terms added in cell order."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0, t1 = (np.where(p > 0.0, -p * np.log(p), 0.0) for p in (p00, p01))
+    return t0 + t1 + t1 + t0
 
-    The bits are those of terms.sum(axis=1), which adds the columns in the
-    same order, save that a row of four -0.0 sums to -0.0 here and 0.0 there.
+
+def mutual_information_rows(p00: np.ndarray, p01: np.ndarray) -> np.ndarray:
+    """Each Bell row's mutual information in nats; never negative.
+
+    All four marginals of a Bell row are p00 + p01, so every cell's product
+    of marginals is its square, bit for bit, since float addition commutes.
     """
-    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
-
-
-def shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
+    product = np.square(p00 + p01)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, -p * np.log(p), 0.0)
-    return _row_sums(terms)
-
-
-def mutual_information_rows(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    pa0 = p[:, 0] + p[:, 1]
-    pa1 = p[:, 2] + p[:, 3]
-    pb0 = p[:, 0] + p[:, 2]
-    pb1 = p[:, 1] + p[:, 3]
-    product = np.stack([pa0 * pb0, pa0 * pb1, pa1 * pb0, pa1 * pb1], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(p / product), 0.0)
-    return np.maximum(_row_sums(terms), 0.0)
+        t0, t1 = (np.where(p > 0.0, p * np.log(p / product), 0.0) for p in (p00, p01))
+    return np.maximum(t0 + t1 + t1 + t0, 0.0)
 
 
 def degree_rows(mutual_info: np.ndarray) -> np.ndarray:

@@ -731,6 +731,15 @@ class TestBatchValidation:
         assert np.array_equal(joint_closed_batch(one, one, one, one, [1.0], [0.0]), expected)
         assert np.array_equal(joint_closed_batch(one, one, one, one, [True], [False]), expected)
 
+    def test_broadcast_label_bits_stay_zero_stride_views(self):
+        # sweep passes each label bit as a 0-stride view of one int64; validation copies neither
+        bits = np.broadcast_to(np.int64(1), (4096,))
+        checked = bipartite._validated_bits(bits, 4096, "s")
+        assert checked.strides == (0,) and np.shares_memory(checked, bits)
+        angles = np.linspace(0.1, 3.0, 4096)
+        copied = joint_closed_batch(angles, angles, angles, angles, np.ones(4096, np.int64), np.ones(4096, np.int64))
+        assert joint_closed_batch(angles, angles, angles, angles, bits, bits).tobytes() == copied.tobytes()
+
     @pytest.mark.parametrize("route", [joint_closed_batch, joint_closed_alt_batch, joint_amplitude_batch])
     @pytest.mark.parametrize("name", ["s", "t"])
     @pytest.mark.parametrize("bad", [["1"], [b"1"], [1j], [None]])

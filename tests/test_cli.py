@@ -710,8 +710,14 @@ def reference_sweep_csv(grid, s, t, tol):
     mu, eta, nu, zeta = (np.asarray(grid[name], dtype=np.float64) for name in ("mu", "eta", "nu", "zeta"))
     n = mu.shape[0]
     probs = bipartite.joint_closed_batch(mu, eta, nu, zeta, np.full(n, s), np.full(n, t))
-    entropy = information.shannon_entropy_rows(probs)
-    mutual = information.mutual_information_rows(probs)
+    # entropy and mutual information from all four cells, each cell's term added in cell order
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy_terms = np.where(probs > 0.0, -probs * np.log(probs), 0.0)
+        pa = probs[:, [0, 0, 2, 2]] + probs[:, [1, 1, 3, 3]]  # each cell's row marginal
+        pb = probs[:, [0, 1, 0, 1]] + probs[:, [2, 3, 2, 3]]  # and its column marginal
+        mutual_terms = np.where(probs > 0.0, probs * np.log(probs / (pa * pb)), 0.0)
+    entropy = entropy_terms[:, 0] + entropy_terms[:, 1] + entropy_terms[:, 2] + entropy_terms[:, 3]
+    mutual = np.maximum(mutual_terms[:, 0] + mutual_terms[:, 1] + mutual_terms[:, 2] + mutual_terms[:, 3], 0.0)
     degree = information.degree_rows(mutual)
     lines = [CSV_HEADER]
     for i in range(n):
@@ -877,6 +883,17 @@ class TestSweepWriter:
             assert values[index].tobytes() == want.tobytes()
             texts = ["%.17g" % value for value in values.tolist()]
             assert [texts[i] for i in index.tolist()] == ["%.17g" % value for value in want.tolist()]
+
+    def test_fixed_angle_index_is_a_zero_stride_view(self):
+        # a one-value axis indexes its value from every row without a column of zeros
+        axes = {"mu": np.linspace(0.0, 1.0, 5), "eta": np.array([0.5]), "nu": np.arange(3.0), "zeta": np.array([-0.0])}
+        grid = cli._sweep_grid(axes, 2, 14)
+        for name in ("eta", "zeta"):
+            values, index = grid[name]
+            assert index.strides == (0,) and index.shape == (12,) and index.tolist() == [0] * 12
+            assert values.tobytes() == axes[name].tobytes()
+        values, index = grid["nu"]
+        assert values[index].tolist() == [2.0, 0.0, 1.0] * 4
 
     def test_one_axis_sweep_memory_is_the_axis_plus_one_block(self, tmp_path):
         out = str(tmp_path / "sweep.csv")

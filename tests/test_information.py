@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellxtalk import _kernels, bipartite, information, sampler
+from bellxtalk import _kernels, bipartite
 from bellxtalk.bipartite import BellLabel, JointDistribution, ObservablePair
 from bellxtalk.information import (
     LN2,
@@ -191,14 +191,31 @@ class TestCrosstalkReport:
             assert abs(report.mutual_info - (2 * LN2 - entropy_theta(report.theta))) <= 1e-12
 
 
+def bell_rows(c):
+    """Bell rows ((1+c)/4, (1-c)/4, (1-c)/4, (1+c)/4), clamped to [0, 1] as joint_closed_batch clamps."""
+    diagonal, off = (1.0 + c) / 4.0, (1.0 - c) / 4.0
+    return np.clip(np.stack([diagonal, off, off, diagonal], axis=1), 0.0, 1.0)
+
+
+def four_cell_information(rows):
+    """Entropy and mutual information of (n, 4) rows, each cell's term added in cell order."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy_terms = np.where(rows > 0.0, -rows * np.log(rows), 0.0)
+        pa = rows[:, [0, 0, 2, 2]] + rows[:, [1, 1, 3, 3]]  # each cell's row marginal
+        pb = rows[:, [0, 1, 0, 1]] + rows[:, [2, 3, 2, 3]]  # and its column marginal
+        mutual_terms = np.where(rows > 0.0, rows * np.log(rows / (pa * pb)), 0.0)
+    entropy = entropy_terms[:, 0] + entropy_terms[:, 1] + entropy_terms[:, 2] + entropy_terms[:, 3]
+    mutual = mutual_terms[:, 0] + mutual_terms[:, 1] + mutual_terms[:, 2] + mutual_terms[:, 3]
+    return entropy, np.maximum(mutual, 0.0)
+
+
 class TestRowHelpers:
     def test_match_scalar_functions(self):
         rng = np.random.default_rng(43)
-        empirical = sampler.empirical_distribution(sampler.SampleCounts(n=100, counts=(37, 0, 12, 51), seed=0))
-        zero_cells = [(0.5, 0.0, 0.0, 0.5), (1.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.5, 0.0), empirical.p]
-        rows = np.vstack([rng.dirichlet(np.ones(4), size=64), zero_cells])
-        entropies = shannon_entropy_rows(rows)
-        infos = mutual_information_rows(rows)
+        c = np.concatenate([rng.uniform(-1.0, 1.0, 64), [1.0, -1.0, 0.0, 0.5, -0.5]])
+        rows = bell_rows(c)
+        entropies = shannon_entropy_rows(rows[:, 0], rows[:, 1])
+        infos = mutual_information_rows(rows[:, 0], rows[:, 1])
         degrees = degree_rows(infos)
         for i in range(rows.shape[0]):
             dist = JointDistribution(tuple(rows[i]))
@@ -207,32 +224,24 @@ class TestRowHelpers:
             assert degrees[i] == pytest.approx(degree_of_dependence(dist), abs=1e-14)
 
     def test_zero_probability_cells(self):
-        rows = np.array([[0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0]])
-        assert shannon_entropy_rows(rows)[0] == pytest.approx(LN2, abs=1e-15)
-        assert shannon_entropy_rows(rows)[1] == 0.0
-        assert mutual_information_rows(rows)[0] == pytest.approx(LN2, abs=1e-15)
-        assert mutual_information_rows(rows)[1] == 0.0
-
+        # perfect correlation, perfect anticorrelation, and an all-zero row, whose
+        # 0/0 ratios never reach the sums
+        p00, p01 = np.array([0.5, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])
+        assert shannon_entropy_rows(p00, p01).tolist() == [pytest.approx(LN2, abs=1e-15)] * 2 + [0.0]
+        assert mutual_information_rows(p00, p01).tolist() == [pytest.approx(LN2, abs=1e-15)] * 2 + [0.0]
 
     @pytest.mark.parametrize("n", [1, 5, 4096, 4099])
-    def test_row_sums_are_bit_identical_to_axis1_sums(self, n):
-        # the helpers add the four columns in turn instead of terms.sum(axis=1), same bits
+    def test_bell_columns_give_the_four_cell_bits(self, n):
+        # the helpers read the two strided columns that sweep passes; every third
+        # row is a pole (c = 1 or -1), or just past one, where the clamp acts
         rng = np.random.default_rng(n)
-        rows = rng.dirichlet(np.ones(4), size=n)
-        rows[rng.random((n, 4)) < 0.3] = 0.0  # zero cells, one to four per row
-        rows[::7] = [1.0, 0.0, 0.0, 0.0]  # -p*log(p) is -0.0 at p = 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            entropy_terms = np.where(rows > 0.0, -rows * np.log(rows), 0.0)
-            pa = rows[:, [0, 0, 2, 2]] + rows[:, [1, 1, 3, 3]]  # each cell's row marginal
-            pb = rows[:, [0, 1, 0, 1]] + rows[:, [2, 3, 2, 3]]  # and its column marginal
-            mutual_terms = np.where(rows > 0.0, rows * np.log(rows / (pa * pb)), 0.0)
-        assert shannon_entropy_rows(rows).tobytes() == entropy_terms.sum(axis=1).tobytes()
-        assert mutual_information_rows(rows).tobytes() == np.maximum(mutual_terms.sum(axis=1), 0.0).tobytes()
-
-    def test_row_sums_differ_from_axis1_only_in_the_sign_of_an_all_negative_zero_row(self):
-        terms = np.array([[-0.0, -0.0, -0.0, -0.0], [-0.0, 0.0, -0.0, -0.0], [1e-300, -1e-300, 0.5, -0.5]])
-        assert information._row_sums(terms).tobytes() == np.array([-0.0, 0.0, 0.0]).tobytes()
-        assert terms.sum(axis=1).tobytes() == np.array([0.0, 0.0, 0.0]).tobytes()
+        c = rng.uniform(-1.0, 1.0, n)
+        poles = [1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0)]
+        c[::3] = np.resize(poles, len(c[::3]))
+        rows = bell_rows(c)
+        entropy, mutual = four_cell_information(rows)
+        assert shannon_entropy_rows(rows[:, 0], rows[:, 1]).tobytes() == entropy.tobytes()
+        assert mutual_information_rows(rows[:, 0], rows[:, 1]).tobytes() == mutual.tobytes()
 
 
 def test_point_report_calls_the_kernels_once_each(monkeypatch):

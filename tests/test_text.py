@@ -74,18 +74,30 @@ def test_values_outside_the_fast_path_raise_no_numpy_warning():
         assert texts(values) == reference(values)
 
 
-def test_floats_drops_each_intermediate_at_its_last_use():
-    # a block of probabilities: 432 KB, with the 88 KB text matrix; 625 KB when
-    # every intermediate of _scaled and _fixed lived to the end of the call
-    values = np.random.default_rng(4).uniform(0.0, 0.5, cli.SWEEP_BLOCK_ROWS)
+def _second_call_peak(values):
+    """Traced peak of a _text.floats call on values after a first call has built its tables."""
     _text.floats(values)
     tracemalloc.start()
     try:
         _text.floats(values)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 450 * 2**10
+
+
+def test_floats_drops_each_intermediate_at_its_last_use():
+    # a block of probabilities: 432 KB, with the 88 KB text matrix; 625 KB when
+    # every intermediate of _scaled and _fixed lived to the end of the call
+    values = np.random.default_rng(4).uniform(0.0, 0.5, cli.SWEEP_BLOCK_ROWS)
+    assert _second_call_peak(values) <= 450 * 2**10
+
+
+def test_floats_slow_path_texts_are_one_bytes_array():
+    # a block of values below 1e-4, every one through "%.17g" %: about 567 KB
+    # with the texts in one NUL-padded bytes array; 1104 KB when they were
+    # padded, joined and re-parsed
+    values = np.random.default_rng(5).uniform(0.0, 1e-4, cli.SWEEP_BLOCK_ROWS)
+    assert _second_call_peak(values) <= 0.75 * 2**20
 
 
 def test_lines_joins_text_and_shared_fields():
