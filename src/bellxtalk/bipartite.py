@@ -1,4 +1,4 @@
-"""Bell states, lifted commuting operators, and the joint outcome distribution.
+"""Bell labels, observable pairs, and the joint outcome distribution.
 
 The distribution of simultaneous outcomes (k, l) is computed by three routes
 that must agree: Born-rule brute force against the tensor eigenvector frame,
@@ -10,29 +10,22 @@ other two are specific to Bell states. The closed form is the production
 path, cross-checked on every call against an alternate closed form in the
 half-angle sums.
 
-Batches go through the joint_*_batch wrappers, which validate the arrays and
-clamp the kernel's output in place (_clamped). verify runs the same steps
-itself, so that each block is validated once (_validated_rows) for all four
-kernels and its one table of Bell states is norm-checked once per run
-(_unit_states, the brute-force wrapper's rule). A single pair
-(joint_distribution_closed, _amplitude and _bruteforce) calls its kernels
-directly on one-element lists, which they evaluate with math and cmath
-rather than numpy: the Observable and BellLabel constructors have validated
-its angles and bits, joint_distribution_bruteforce checks psi in plain
-Python, and JointDistribution checks and clamps the cells. The
+joint_closed_batch, the batch route every command runs, validates its
+arrays (_validated_rows) and clamps the kernel's output in place (_clamped).
+A single pair (joint_distribution_closed, _amplitude and _bruteforce) calls
+its kernels directly on one-element lists, which they evaluate with math and
+cmath rather than numpy: the Observable and BellLabel constructors have
+validated its angles and bits, joint_distribution_bruteforce checks psi in
+plain Python, and JointDistribution checks and clamps the cells. The
 closed-variant cross-check runs on both routes, on the single pair's row as
 plain floats, and fails on a gap beyond CLOSED_VARIANT_TOL or a NaN.
 
-Each piece of two-qubit algebra is written once, with the row index last:
-the lifts A tensor I and I tensor B (lift_first, lift_second, on a 2x2
-operator or a (2, 2, n) stack), the lifted commutator norms
-(commutator_norms) and the Bell-state entries (_bell_entries). The one-pair
-functions (commutator_norm, bell_state, bell_state_row) are one-row calls of
-them. commutator_basis lifts the four matrix units and forms their 16
-commutators, and commutator_norms expands each row's commutator in them,
-building the basis on each call unless it is given one (verify builds it
-once per run); when all 16 are zero, as with correct lifts, every finite
-row's norm is zero.
+The algebra only verification runs lives in _oracles: the Bell state vectors
+(bell_state, bell_state_batch), the lifts and their commutator norms, the
+outcome frame and the other batch routes. This module resolves each of those
+names on its first access (PEP 562) and keeps it, so a run that uses none of
+them never compiles _oracles; _oracles reads the lifts and matrices back
+through this module, so a name replaced here is the one that runs.
 
 A single pair through any of the three routes uses no numpy name, given
 bell_state_row rather than bell_state for brute force, so it loads no numpy
@@ -43,9 +36,31 @@ from __future__ import annotations
 
 import math
 
-from . import _kernels, observables
+from . import _kernels
 from . import _np as np
-from .observables import TWO_PI, Observable, Record, bit_value, eigenvector, matrices, require_tolerance
+from .observables import TWO_PI, Observable, Record, bit_value, require_tolerance
+from .observables import matrices  # unused here: _oracles.commutator_norms reads it through this module
+
+#: the names _oracles defines, resolved on first access (see above)
+_ORACLE_NAMES = frozenset({
+    "OutcomeFrame", "bell_state", "bell_state_batch", "_operator", "lift_first", "lift_second", "outcome_frame",
+    "commutator_norm", "commutator_basis", "commutator_norms", "_unit_states",
+    "joint_closed_alt_batch", "joint_amplitude_batch", "joint_bruteforce_batch",
+})
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _oracles
+
+    value = globals()[name] = getattr(_oracles, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})
+
 
 #: fixed cell order for joint outcomes (k, l); all arrays and CSV output use it
 INDEX_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -124,20 +139,6 @@ class JointDistribution(Record):
         return np.array(self.p)
 
 
-class OutcomeFrame(Record):
-    """The four joint eigenvectors u_a^(k) tensor u_b^(l), rows in INDEX_ORDER."""
-
-    vectors: np.ndarray  # shape (4, 4) complex, row index 2k+l
-
-    def vector(self, k: int, ell: int) -> np.ndarray:
-        return self.vectors[2 * k + ell]
-
-    def __eq__(self, other):  # Record's tuple compare has no single truth value for two equal arrays
-        if other.__class__ is self.__class__:
-            return np.array_equal(self.vectors, other.vectors)
-        return NotImplemented
-
-
 def _bell_entries(s, t, where):
     """Amplitudes of (|0 t> + (-1)^s |1 (t+1)>)/sqrt(2) at the basis states 00, 01, 10, 11."""
     amp = 1.0 / math.sqrt(2.0)
@@ -145,55 +146,9 @@ def _bell_entries(s, t, where):
     return where(t == 0, amp, 0.0), where(t == 1, amp, 0.0), where(t == 1, second, 0.0), where(t == 0, second, 0.0)
 
 
-def bell_state(label: BellLabel) -> np.ndarray:
-    """State vector (|0 t> + (-1)^s |1 (t+1)>)/sqrt(2) in the product basis."""
-    return bell_state_batch([label.s], [label.t])[0]
-
-
 def bell_state_row(label: BellLabel) -> tuple[float, float, float, float]:
     """bell_state's 4 entries as plain floats, without numpy."""
     return _bell_entries(label.s, label.t, _kernels._pick)
-
-
-def bell_state_batch(s, t) -> np.ndarray:
-    """Stacked Bell states for 0/1 bit arrays s, t of one length; shape (n, 4)."""
-    n = len(s)
-    s, t = _validated_bits(s, n, "s"), _validated_bits(t, n, "t")
-    return np.stack(_bell_entries(s, t, np.where), axis=1, dtype=np.complex128)
-
-
-def _operator(m) -> np.ndarray:
-    """m as complex128, checked to hold numbers and to be a finite 2x2 matrix or a (2, 2, n) stack."""
-    m = _numeric(m, "matrix", "biufc").astype(np.complex128)
-    if m.ndim not in (2, 3) or m.shape[:2] != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix or a (2, 2, n) stack, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
-    return m
-
-
-def lift_first(a) -> np.ndarray:
-    """a tensor identity: a 2x2 operator lifted to act on the first qubit.
-
-    A (2, 2, n) stack is lifted row by row into a (4, 4, n) stack.
-    """
-    a = _operator(a)
-    return np.einsum("ij...,kl->ikjl...", a, observables.IDENTITY2).reshape((4, 4) + a.shape[2:])
-
-
-def lift_second(b) -> np.ndarray:
-    """identity tensor b: a 2x2 operator lifted to act on the second qubit.
-
-    A (2, 2, n) stack is lifted row by row into a (4, 4, n) stack.
-    """
-    b = _operator(b)
-    return np.einsum("ij,kl...->ikjl...", observables.IDENTITY2, b).reshape((4, 4) + b.shape[2:])
-
-
-def outcome_frame(pair: ObservablePair) -> OutcomeFrame:
-    """Orthonormal frame of common eigenvectors of both lifted observables."""
-    rows = [np.kron(eigenvector(pair.a, k), eigenvector(pair.b, ell)) for k, ell in INDEX_ORDER]
-    return OutcomeFrame(vectors=np.array(rows))
 
 
 def joint_distribution_bruteforce(pair: ObservablePair, psi) -> JointDistribution:
@@ -272,47 +227,6 @@ def marginals(dist: JointDistribution) -> tuple[tuple[float, float], tuple[float
     return (p[0] + p[1], p[2] + p[3]), (p[0] + p[2], p[1] + p[3])
 
 
-def commutator_norm(pair: ObservablePair) -> float:
-    """Frobenius norm of [a tensor I, I tensor b]; zero exactly when they commute."""
-    return float(commutator_norms(*np.array([[pair.a.mu], [pair.a.eta], [pair.b.mu], [pair.b.eta]]))[0])
-
-
-def commutator_basis() -> np.ndarray:
-    """The 16 commutators [lift_first(E_pq), lift_second(E_rs)] of the matrix units, as a (16, 16) array.
-
-    Column 4i + j holds the commutator of E_i and E_j (E_pq at 2p + q),
-    flattened; commutator_norms expands each row in them. It is built from
-    the current lifts on each call and never kept, so a lift replaced on this
-    module reaches the next basis.
-    """
-    units = np.eye(4, dtype=np.complex128).reshape(2, 2, 4)  # E_pq at 2p + q
-    lift_a = lift_first(np.repeat(units, 4, axis=2))  # column 4i + j pairs E_i with E_j
-    lift_b = lift_second(np.tile(units, 4))
-    return (np.einsum("ikn,kjn->ijn", lift_a, lift_b) - np.einsum("ikn,kjn->ijn", lift_b, lift_a)).reshape(16, 16)
-
-
-def commutator_norms(mu, eta, nu, zeta, basis=None) -> np.ndarray:
-    """Frobenius norm of [A tensor I, I tensor B] for each row of angles; shape (n,).
-
-    The lifts are linear (a test checks this) and the matrix units E_pq span
-    every 2x2 operator, so a row's commutator is the sum of A_pq B_rs times
-    [lift_first(E_pq), lift_second(E_rs)]. Those 16 are commutator_basis(),
-    built on this call unless a caller that runs many blocks passes the basis
-    it built once, and all rows are then one (16, 16) @ (16, n) product. When
-    all 16 are zero, as with correct lifts, each row with finite angles has
-    norm zero and no row's matrices are built; a nonzero entry, or a
-    non-finite angle, whose row norm is NaN, takes the product. Angles are
-    1-d float arrays of one length and are not validated.
-    """
-    if basis is None:
-        basis = commutator_basis()
-    if not basis.any() and all(np.isfinite(angle).all() for angle in (mu, eta, nu, zeta)):
-        return np.zeros(len(mu))
-    a = matrices(mu, eta).reshape(4, -1)
-    b = matrices(nu, zeta).reshape(4, -1)
-    return np.linalg.norm(basis @ np.einsum("in,jn->ijn", a, b).reshape(16, -1), axis=0)
-
-
 def is_klein_symmetric(dist: JointDistribution, tol: float = 1e-12) -> bool:
     """True when p00 equals p11 and p01 equals p10 within tol."""
     require_tolerance(tol)
@@ -387,20 +301,6 @@ def _validated_rows(mu, eta, nu, zeta, s, t):
     return *angles, _validated_bits(s, n, "s"), _validated_bits(t, n, "t")
 
 
-def _unit_states(psi, n: int) -> np.ndarray:
-    """psi as a contiguous (n, 4) complex128 array, checked to hold finite states of unit norm."""
-    psi = np.ascontiguousarray(_numeric(psi, "psi", "biufc"), dtype=np.complex128)
-    if psi.shape != (n, 4):
-        raise ValueError(f"psi must have shape ({n}, 4), got {psi.shape}")
-    parts = psi.view(np.float64)  # re, im of each entry side by side
-    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN and inf rows as well
-    if bad.any():
-        row = int(bad.argmax())
-        raise ValueError(f"state vector at row {row} has norm {norms[row]}, expected 1")
-    return psi
-
-
 def _clamped(p: np.ndarray) -> np.ndarray:
     """A kernel's fresh (n, 4) output p, clamped to [0, 1] in place."""
     return np.clip(p, 0.0, 1.0, out=p)
@@ -417,22 +317,6 @@ def joint_closed_batch(mu, eta, nu, zeta, s, t, *, check: bool = True) -> np.nda
     if check:
         _require_variant_agreement(primary, _kernels.closed_joint_alt(*rows))
     return _clamped(primary)
-
-
-def joint_closed_alt_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
-    """Half-angle closed-form probabilities; shape (n, 4), clamped to [0, 1]."""
-    return _clamped(_kernels.closed_joint_alt(*_validated_rows(mu, eta, nu, zeta, s, t)))
-
-
-def joint_amplitude_batch(mu, eta, nu, zeta, s, t) -> np.ndarray:
-    """Amplitude-formula probabilities; shape (n, 4), clamped to [0, 1]."""
-    return _clamped(_kernels.amplitude_joint(*_validated_rows(mu, eta, nu, zeta, s, t)))
-
-
-def joint_bruteforce_batch(mu, eta, nu, zeta, psi) -> np.ndarray:
-    """Born-rule probabilities against finite unit states psi (n, 4); clamped to [0, 1]."""
-    angles = _validated_angles(mu, eta, nu, zeta)
-    return _clamped(_kernels.bruteforce_joint(*angles, _unit_states(psi, len(angles[0]))))
 
 
 def _require_variant_agreement(primary, alternate) -> None:

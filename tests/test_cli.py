@@ -459,6 +459,28 @@ class TestVerify:
         assert code == 1
         assert self._statuses(out) == {"lifted commutator norm": "FAIL"}
 
+    def test_verify_runs_the_run_verification_set_on_cli(self, capsys, monkeypatch):
+        # cmd_verify looks the engine up on cli, where a tracer or a test replaces it
+        seen = []
+
+        def stub(samples, seed):
+            seen.append((samples, seed))
+            return VerificationResult(samples, seed, (0.0,) * len(cli.CHECKS), (0.0, 0.0, 0.0, 0.0, 0, 0))
+
+        monkeypatch.setattr(cli, "run_verification", stub)
+        code, out, _ = run_cli(capsys, "verify", "--samples", "3", "--seed", "4")
+        assert code == 0 and seen == [(3, 4)]
+        assert out.startswith("samples=3 seed=4 ") and out.endswith("all checks passed\n")
+
+    def test_verify_runs_the_commutator_check_set_on_cli(self, capsys, monkeypatch):
+        # _verify reads cli._max_commutator_norm per block, so a replaced one is what each block runs
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", 7)
+        calls = []
+        monkeypatch.setattr(cli, "_max_commutator_norm", lambda *args: calls.append(args) or 0.5)
+        code, out, _ = run_cli(capsys, "verify", "--samples", "20", "--seed", "5")
+        assert code == 1 and [len(args[0]) for args in calls] == [7, 7, 6]
+        assert self._statuses(out) == {"lifted commutator norm": "FAIL"}
+
     @staticmethod
     def _statuses(out):
         """The name and status of each verify check that is not OK; there are six in all."""

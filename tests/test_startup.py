@@ -2,13 +2,17 @@
 
 Importing the CLI and building its parser loads no numpy and no module that
 only some commands run; probs, on every route, and independence never load
-numpy; no command loads dataclasses; the package resolves its exports on first
-use. numpy is imported in one place, the lazy module bellxtalk._np.
+numpy; only verify loads its engine (_verify) and the oracles (_oracles); no
+command loads dataclasses; the package, cli and bipartite resolve their lazy
+names on first use. numpy is imported in one place, the lazy module
+bellxtalk._np.
 """
 
 import ast
+import importlib
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -21,7 +25,8 @@ import bellxtalk
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bellxtalk.__file__)))
 
 #: loaded only by the commands that use them
-DEFERRED = ("numpy", "bellxtalk.independence", "bellxtalk.sampler", "tempfile")
+DEFERRED = ("numpy", "bellxtalk.independence", "bellxtalk.sampler", "bellxtalk._verify", "bellxtalk._oracles",
+            "tempfile")
 #: loaded by no command: the records are built on observables.Record
 NEVER = ("dataclasses",)
 
@@ -76,6 +81,27 @@ def test_array_commands_import_numpy(argv):
     assert _probe(_AFTER_MAIN, *argv) == ["0 True False"]
 
 
+_ENGINE = ("bellxtalk._verify", "bellxtalk._oracles")
+
+#: every command but verify, then verify, in one interpreter: what a command loads stays loaded
+_COMMANDS_THEN_VERIFY = """
+runs = [["probs", "--method", method] for method in ("closed", "amplitude", "brute", "all")] + [
+    ["sweep", "--vary", "mu=0:1:3"], ["sample", "--n", "10"],
+    ["independence", "--plane", "y0", "--s", "1", "--t", "0", "--mu", "0.3"], ["verify", "--samples", "3"]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(argv[0], code, *(name in sys.modules for name in {engine!r}))
+"""
+
+
+def test_only_verify_loads_its_engine_and_the_oracles():
+    assert _probe(_COMMANDS_THEN_VERIFY.format(engine=_ENGINE)) == [
+        *["probs 0 False False"] * 4, "sweep 0 False False", "sample 0 False False", "independence 0 False False",
+        "verify 0 True True",
+    ]
+
+
 #: perfbench's CLI_CODE: tracemalloc from the first statement, then the CLI as ``python -m bellxtalk``
 _TRACED_CLI = """
 import runpy, sys
@@ -89,39 +115,105 @@ finally:
 """
 
 
-def test_cold_probs_all_peak_stays_below_the_compile_step():
-    # Compiling the largest module is this run's peak, about 1.625 MB; about
-    # 1 KB more source in bipartite.py or cli.py can cross an allocation step
-    # and raise it by 0.1-0.4 MB. The benchmark's point_queries peak_alloc_mb
-    # is this peak, with a 5% bound; this limit is 4.6% over today's.
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run([sys.executable, "-c", _TRACED_CLI, "probs", "--method", "all"], env=env,
-                            capture_output=True, text=True, check=True)
-    assert int(result.stderr.split()[-1]) <= 1.70 * 2**20
+#: _TRACED_CLI with an audit hook that starts a segment at each compile of a
+#: source file and at each exec of a code object: prints the traced peak of
+#: each file's compile, then of the rest of the run ("other": the module
+#: bodies and the command), one "name bytes" line each
+_COMPILE_SHARES = """
+import os, runpy, sys, tracemalloc
+peaks, segment = {}, "other"
+def close(following):
+    global segment
+    peaks[segment] = max(peaks.get(segment, 0), tracemalloc.get_traced_memory()[1])
+    tracemalloc.reset_peak()
+    segment = following
+def hook(event, args):
+    if event == "compile" and isinstance(args[1], str) and args[1].endswith(".py"):
+        close(os.path.basename(args[1]))
+    elif event == "exec":
+        close("other")
+sys.addaudithook(hook)
+tracemalloc.start()
+sys.argv[0] = "bellxtalk"
+try:
+    runpy.run_module("bellxtalk", run_name="__main__", alter_sys=True)
+finally:
+    close("other")
+    for name, peak in list(peaks.items()):
+        print(name, peak, file=sys.stderr)
+"""
+
+
+def _package_copy(directory) -> str:
+    """A PYTHONPATH holding a copy of the package's source files and no bytecode, as a fresh checkout has.
+
+    PYTHONDONTWRITEBYTECODE stops a run writing bytecode, not reading it, so
+    a run on the source tree loads each module that an earlier run left
+    current in __pycache__ without compiling it. PYTHONPYCACHEPREFIX would
+    also hide the standard library's bytecode, and argparse's compile would
+    set the peak (4.8 MB).
+    """
+    package = pathlib.Path(directory, "bellxtalk")
+    package.mkdir()
+    for path in pathlib.Path(SRC, "bellxtalk").glob("*.py"):
+        shutil.copy(path, package)
+    return str(directory)
+
+
+def _cold_stderr(code: str, directory, *argv: str) -> str:
+    """stderr of code run with argv in a fresh interpreter on a copy of the package that compiles every module."""
+    env = dict(os.environ, PYTHONPATH=_package_copy(directory), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True).stderr
+
+
+def _cold_peak_mb(directory, *argv: str) -> float:
+    """Traced peak, in MB, of a cold CLI run, as the benchmark's peak_alloc_mb reads it."""
+    return int(_cold_stderr(_TRACED_CLI, directory, *argv).split()[-1]) / 2**20
+
+
+def _compile_peaks_mb(directory, *argv: str) -> dict[str, float]:
+    """Traced peak, in MB, of each source file's compile in a cold CLI run, and of the rest ("other")."""
+    lines = (line.split() for line in _cold_stderr(_COMPILE_SHARES, directory, *argv).splitlines())
+    return {name: int(peak) / 2**20 for name, peak in lines}
+
+
+def test_cold_probs_all_peak_stays_below_the_compile_step(tmp_path):
+    # Compiling the largest module, bipartite.py, is this run's peak, about
+    # 1.330 MB (1.624 before the oracles left it); about 55 more ``_pad = 0``
+    # lines in bipartite.py or 105 in cli.py reach this limit, and a module
+    # past its next allocation step raises the peak by 0.2-0.3 MB. The
+    # benchmark's point_queries peak_alloc_mb is this peak, with a 5% bound;
+    # this limit is 4.6% over today's.
+    assert _cold_peak_mb(tmp_path, "probs", "--method", "all") <= 1.39
+
+
+def test_cold_probs_compiles_only_the_modules_it_runs(tmp_path):
+    # the engine and the oracles load on first use, which probs never makes
+    compiled = set(_compile_peaks_mb(tmp_path, "probs", "--method", "all")) - {"other"}
+    assert compiled == {"__init__.py", "__main__.py", "_np.py", "observables.py", "_kernels.py", "bipartite.py",
+                        "information.py", "cli.py"}
 
 
 def test_cold_sweep_peak_stays_at_one_block(tmp_path):
     # the benchmark's sweep_grid grid, 250 x 160 rows in 10 blocks: each block's
     # arrays are dropped at their last use and none lives into the next block,
-    # so the run peaks at about 8.35 MB; it peaked at 8.89 MB when a block's
+    # so the run peaks at about 8.32 MB; it peaked at 8.89 MB when a block's
     # probabilities, information columns and label bits lived through its
     # write into the next block's kernel
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
     argv = ["sweep", "--eta", "3.2158701122134374", "--nu", "2.985969765881358",
             "--vary", "mu=0:3.141592653589793:250", "--vary", "zeta=0:6.283185307179586:160",
             "--out", str(tmp_path / "sweep.csv")]
-    result = subprocess.run([sys.executable, "-c", _TRACED_CLI, *argv], env=env,
-                            capture_output=True, text=True, check=True)
-    assert int(result.stderr.split()[-1]) <= 8.60 * 2**20
+    assert _cold_peak_mb(tmp_path, *argv) <= 8.60
 
 
 #: each module's compile peak on its own, in MB, stays below this limit, which
-#: lies between today's peak and the peak past the module's next allocation
-#: step: cli.py 1.44 today and 1.80 past its step, about 90 ``_pad = 0``
-#: lines on; bipartite.py 1.15 today, 1.48 just before its step, about 247
-#: lines on, and 1.69 past it. ``PYTHONPATH=src python tests/test_startup.py``
-#: prints each module's peak and headroom
-COMPILE_STEP_LIMITS = {"cli.py": 1.66, "bipartite.py": 1.58}
+#: lies just above the module's peak at the foot of its next allocation step:
+#: cli.py 1.22 today, 1.58 about 290 ``_pad = 0`` lines on and 1.81 past its
+#: step; bipartite.py 0.88 today, 1.47 about 488 lines on and 1.70 past its
+#: step. ``PYTHONPATH=src python tests/test_startup.py`` prints each module's
+#: peak and headroom, and each compile's peak inside a cold probs --method all
+COMPILE_STEP_LIMITS = {"cli.py": 1.60, "bipartite.py": 1.50}
 
 _COMPILE = """
 import sys, tracemalloc
@@ -172,15 +264,52 @@ print(sorted(set(bellxtalk.__all__) - set(listed)), sorted(set(bellxtalk.__all__
 
 def test_unknown_names_are_attribute_errors():
     body = """
-import bellxtalk, bellxtalk.observables
-for module in (bellxtalk, bellxtalk.observables):
+import bellxtalk, bellxtalk.bipartite, bellxtalk.observables
+for module in (bellxtalk, bellxtalk.observables, cli, bellxtalk.bipartite):
     try:
         module.no_such_name
     except AttributeError as exc:
         print(exc)
-"""
+print(hasattr(cli, "__path__"), hasattr(bellxtalk.bipartite, "__wrapped__"), *(name in sys.modules for name in {engine!r}))
+""".format(engine=_ENGINE)
     assert _probe(body) == ["module 'bellxtalk' has no attribute 'no_such_name'",
-                            "module 'bellxtalk.observables' has no attribute 'no_such_name'"]
+                            "module 'bellxtalk.observables' has no attribute 'no_such_name'",
+                            "module 'bellxtalk.cli' has no attribute 'no_such_name'",
+                            "module 'bellxtalk.bipartite' has no attribute 'no_such_name'",
+                            "False False False False"]
+
+
+#: each module with lazy names: the module that defines them and the table that lists them
+_LAZY = {"cli": ("_verify", "_VERIFY_NAMES"), "bipartite": ("_oracles", "_ORACLE_NAMES")}
+
+
+@pytest.mark.parametrize("module", _LAZY)
+def test_each_lazy_table_lists_every_name_its_module_defines(module):
+    defining, table = _LAZY[module]
+    path = pathlib.Path(SRC, "bellxtalk", f"{defining}.py")
+    defined = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(target.id for target in node.targets)
+    assert set(getattr(importlib.import_module(f"bellxtalk.{module}"), table)) == defined
+
+
+def test_every_lazy_name_imports_from_its_old_module_as_the_defining_modules_object():
+    body = """
+import importlib
+for module, (defining, table) in {lazy!r}.items():
+    old = importlib.import_module(f"bellxtalk.{{module}}")
+    names = sorted(getattr(old, table))
+    listed = set(dir(old))  # before any lazy name is resolved
+    for name in names:
+        exec(f"from bellxtalk.{{module}} import {{name}} as value")
+        new = sys.modules[f"bellxtalk.{{defining}}"]
+        assert value is getattr(new, name) is vars(old)[name] is getattr(old, name), (module, name)
+    print(module, len(names), listed >= set(names))
+""".format(lazy=_LAZY)
+    assert _probe(body) == ["cli 5 True", "bipartite 14 True"]
 
 
 def test_matrix_constants_are_built_once_on_first_use():
@@ -265,15 +394,25 @@ def _pad_lines_past(path: pathlib.Path, limit_mb: float) -> int:
 
 
 if __name__ == "__main__":
-    # compile headroom of each module: PYTHONPATH=src python tests/test_startup.py
-    print(f"{'module':<16}{'tokens':>8}{'peak MB':>9}{'limit MB':>10}{'pad lines to cross':>20}")
+    # compile headroom of each module, and its compile's peak inside a cold probs --method all:
+    # PYTHONPATH=src python tests/test_startup.py
+    argv = ("probs", "--method", "all")
+    with tempfile.TemporaryDirectory() as tmp:
+        run_peak_mb = _cold_peak_mb(tmp, *argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        in_probs = _compile_peaks_mb(tmp, *argv)
+    print(f"{'module':<16}{'tokens':>8}{'peak MB':>9}{'in probs MB':>13}{'limit MB':>10}{'pad lines to cross':>20}")
     for path in sorted(pathlib.Path(SRC, "bellxtalk").glob("*.py")):
         with tokenize.open(path) as handle:
             tokens = sum(1 for _ in tokenize.generate_tokens(handle.readline))
         peak_mb = _compile_peak_mb(path)
+        share = f"{in_probs[path.name]:.3f}" if path.name in in_probs else "-"  # - : probs does not compile it
+        row = f"{path.name:<16}{tokens:>8}{peak_mb:>9.3f}{share:>13}"
         limit_mb = COMPILE_STEP_LIMITS.get(path.name)
-        if limit_mb is None:
-            print(f"{path.name:<16}{tokens:>8}{peak_mb:>9.3f}")
-        else:
+        if limit_mb is not None:
             pad = _pad_lines_past(path, limit_mb) if peak_mb <= limit_mb else 0
-            print(f"{path.name:<16}{tokens:>8}{peak_mb:>9.3f}{limit_mb:>10.2f}{pad:>20}")
+            row += f"{limit_mb:>10.2f}{pad:>20}"
+        print(row)
+    top = max(in_probs, key=in_probs.get)
+    print(f"cold {' '.join(argv)}: peak {run_peak_mb:.4f} MB without the hook; the largest segment is "
+          f"{top} at {in_probs[top]:.4f} MB; the rest of the run peaks at {in_probs['other']:.4f} MB")
