@@ -13,11 +13,11 @@ import importlib
 #: resolved, and kept, on first access (PEP 562), so importing the package or
 #: one of its modules loads no other module of it
 _EXPORTS = {
+    "_oracles": ("OutcomeFrame", "bell_state", "commutator_norm", "lift_first", "lift_second", "outcome_frame"),
     "bipartite": (
         "INDEX_ORDER", "BellLabel", "InternalConsistencyError", "JointDistribution", "ObservablePair",
-        "OutcomeFrame", "bell_state", "commutator_norm", "has_equal_marginals", "is_klein_symmetric",
-        "joint_distribution_amplitude", "joint_distribution_bruteforce", "joint_distribution_closed",
-        "lift_first", "lift_second", "marginals", "outcome_frame",
+        "has_equal_marginals", "is_klein_symmetric", "joint_distribution_amplitude",
+        "joint_distribution_bruteforce", "joint_distribution_closed", "marginals",
     ),
     "independence": (
         "ConditionKind", "IndependenceRoot", "PlaneCondition", "check_consistency", "condition_x_plane",

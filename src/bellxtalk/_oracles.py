@@ -1,11 +1,11 @@
 """The two-qubit algebra that only verification runs: Bell state vectors, the
 lifts and their commutators, the outcome frame and the oracle batch routes.
 
-No command but verify loads this module. bipartite resolves each of these
-names from here on its first access (its module __getattr__) and keeps it,
-so bipartite.lift_first and the rest stay the public names, and a name
-replaced on bipartite is the one that runs: commutator_basis reads the lifts,
-and commutator_norms the matrices, through bipartite at call time.
+No command but verify loads this module, and verify calls these names here,
+so a name replaced on this module is the one that runs: commutator_basis
+looks the lifts up in this module's globals on each call. The package
+exports the public ones (bellxtalk.lift_first and the rest), and bipartite
+keeps four batch names of its own (its _ORACLE_NAMES).
 
 Each piece of two-qubit algebra is written once, with the row index last:
 the lifts A tensor I and I tensor B (lift_first, lift_second, on a 2x2
@@ -26,7 +26,7 @@ table of Bell states.
 
 from __future__ import annotations
 
-from . import _kernels, bipartite, observables
+from . import _kernels, observables
 from . import _np as np
 from .bipartite import (
     INDEX_ORDER, NORM_TOL, BellLabel, ObservablePair, _bell_entries, _clamped, _numeric, _validated_angles,
@@ -105,12 +105,12 @@ def commutator_basis() -> np.ndarray:
 
     Column 4i + j holds the commutator of E_i and E_j (E_pq at 2p + q),
     flattened; commutator_norms expands each row in them. It is built from
-    bipartite's current lifts on each call and never kept, so a lift
-    replaced on bipartite reaches the next basis.
+    this module's current lifts on each call and never kept, so a lift
+    replaced here reaches the next basis.
     """
     units = np.eye(4, dtype=np.complex128).reshape(2, 2, 4)  # E_pq at 2p + q
-    lift_a = bipartite.lift_first(np.repeat(units, 4, axis=2))  # column 4i + j pairs E_i with E_j
-    lift_b = bipartite.lift_second(np.tile(units, 4))
+    lift_a = lift_first(np.repeat(units, 4, axis=2))  # column 4i + j pairs E_i with E_j
+    lift_b = lift_second(np.tile(units, 4))
     return (np.einsum("ikn,kjn->ijn", lift_a, lift_b) - np.einsum("ikn,kjn->ijn", lift_b, lift_a)).reshape(16, 16)
 
 
@@ -131,8 +131,8 @@ def commutator_norms(mu, eta, nu, zeta, basis=None) -> np.ndarray:
         basis = commutator_basis()
     if not basis.any() and all(np.isfinite(angle).all() for angle in (mu, eta, nu, zeta)):
         return np.zeros(len(mu))
-    a = bipartite.matrices(mu, eta).reshape(4, -1)
-    b = bipartite.matrices(nu, zeta).reshape(4, -1)
+    a = observables.matrices(mu, eta).reshape(4, -1)
+    b = observables.matrices(nu, zeta).reshape(4, -1)
     return np.linalg.norm(basis @ np.einsum("in,jn->ijn", a, b).reshape(16, -1), axis=0)
 
 

@@ -3,19 +3,25 @@
 Only verify loads this module, with the oracles of _oracles it runs: cli
 resolves each of these names from here on its first access (its module
 __getattr__) and keeps it, so cli.run_verification and the rest stay the
-public names. The block size and the commutator check are read through cli
-(cli.VERIFY_BLOCK_ROWS, cli._max_commutator_norm), the Bell states and the
-commutator basis through bipartite and the kernels on _kernels, all when a
-run needs them, so a name replaced on those modules is the one that runs.
+public names. The commutator check is read through cli
+(cli._max_commutator_norm, where the benchmark's tracer wraps it), the Bell
+states and the commutator basis on _oracles, the validation and clamp on
+bipartite and the kernels on _kernels, all when a run needs them, so a name
+replaced on those modules is the one that runs.
 """
 
 from __future__ import annotations
 
 import operator
 
-from . import _kernels, bipartite, cli
+from . import _kernels, _oracles, bipartite, cli
 from . import _np as np
 from .observables import Record
+
+#: verify tuples per block; the draws and every route and check run one block
+#: at a time, so verify's memory stays at one block whatever --samples. Half
+#: sweep's block, for a lower peak; column-slice checks pay for the blocks
+VERIFY_BLOCK_ROWS = 2048
 
 #: verify's checks, in the order it prints them and VerificationResult.maxima holds them
 CHECKS = (
@@ -44,7 +50,7 @@ class VerificationResult(Record):
 def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
     """Cross-validate the three probability routes on random angle tuples.
 
-    Draws (mu, eta, nu, zeta, s, t) uniformly, cli.VERIFY_BLOCK_ROWS tuples
+    Draws (mu, eta, nu, zeta, s, t) uniformly, VERIFY_BLOCK_ROWS tuples
     at a time from _verify_draws, the same tuples for a seed whatever the
     block size. Each block's six columns are validated once, by the batch
     routes' rule, and the four probability kernels, looked up on _kernels
@@ -68,8 +74,8 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
     maxima = np.full(len(CHECKS), -np.inf)
     worst_tuple = None
     clamped = bipartite._clamped
-    bell = bipartite._unit_states(bipartite.bell_state_batch([0, 0, 1, 1], [0, 1, 0, 1]), 4)  # row 2s + t
-    basis = bipartite.commutator_basis()
+    bell = _oracles._unit_states(_oracles.bell_state_batch([0, 0, 1, 1], [0, 1, 0, 1]), 4)  # row 2s + t
+    basis = _oracles.commutator_basis()
     for block in _verify_draws(samples, seed):
         *angles, s, t = columns = bipartite._validated_rows(*block)
         closed = clamped(_kernels.closed_joint(*columns))
@@ -100,7 +106,7 @@ def run_verification(samples: int = 10000, seed: int = 0) -> VerificationResult:
 
 
 def _verify_draws(samples: int, seed: int):
-    """Yield verify's (mu, eta, nu, zeta, s, t) columns cli.VERIFY_BLOCK_ROWS rows at a time.
+    """Yield verify's (mu, eta, nu, zeta, s, t) columns VERIFY_BLOCK_ROWS rows at a time.
 
     The rows are those of default_rng(seed) drawing the six whole columns in
     turn: four uniform angle columns, then the s and t bits. Each column has
@@ -125,9 +131,8 @@ def _verify_draws(samples: int, seed: int):
     label_streams = [
         positioned(4 * samples + q // 2, q % 2 == 1) for q in (0, samples)
     ]
-    block_rows = cli.VERIFY_BLOCK_ROWS
-    for start in range(0, samples, block_rows):
-        rows = min(block_rows, samples - start)
+    for start in range(0, samples, VERIFY_BLOCK_ROWS):
+        rows = min(VERIFY_BLOCK_ROWS, samples - start)
         yield (
             *(stream.uniform(0.0, high, rows) for stream, high in angle_streams),
             *(stream.integers(0, 2, rows) for stream in label_streams),
@@ -135,5 +140,5 @@ def _verify_draws(samples: int, seed: int):
 
 
 def _max_commutator_norm(mu, eta, nu, zeta, basis=None) -> float:
-    """Largest Frobenius norm of [A (x) I, I (x) B] over one block of rows; see bipartite.commutator_norms."""
-    return float(bipartite.commutator_norms(mu, eta, nu, zeta, basis).max())
+    """Largest Frobenius norm of [A (x) I, I (x) B] over one block of rows; see _oracles.commutator_norms."""
+    return float(_oracles.commutator_norms(mu, eta, nu, zeta, basis).max())

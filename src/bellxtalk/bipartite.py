@@ -22,10 +22,9 @@ plain floats, and fails on a gap beyond CLOSED_VARIANT_TOL or a NaN.
 
 The algebra only verification runs lives in _oracles: the Bell state vectors
 (bell_state, bell_state_batch), the lifts and their commutator norms, the
-outcome frame and the other batch routes. This module resolves each of those
-names on its first access (PEP 562) and keeps it, so a run that uses none of
-them never compiles _oracles; _oracles reads the lifts and matrices back
-through this module, so a name replaced here is the one that runs.
+outcome frame and the other batch routes. Four of its names stay importable
+from here (_ORACLE_NAMES), resolved on first access (PEP 562) and kept, so a
+run that uses none of them never compiles _oracles.
 
 A single pair through any of the three routes uses no numpy name, given
 bell_state_row rather than bell_state for brute force, so it loads no numpy
@@ -39,14 +38,10 @@ import math
 from . import _kernels
 from . import _np as np
 from .observables import TWO_PI, Observable, Record, bit_value, require_tolerance
-from .observables import matrices  # unused here: _oracles.commutator_norms reads it through this module
 
-#: the names _oracles defines, resolved on first access (see above)
-_ORACLE_NAMES = frozenset({
-    "OutcomeFrame", "bell_state", "bell_state_batch", "_operator", "lift_first", "lift_second", "outcome_frame",
-    "commutator_norm", "commutator_basis", "commutator_norms", "_unit_states",
-    "joint_closed_alt_batch", "joint_amplitude_batch", "joint_bruteforce_batch",
-})
+#: the names of _oracles that tests/test_acceptance.py imports from here, resolved on first access
+_ORACLE_NAMES = frozenset({"bell_state_batch", "joint_closed_alt_batch", "joint_amplitude_batch",
+                           "joint_bruteforce_batch"})
 
 
 def __getattr__(name: str):
@@ -56,10 +51,6 @@ def __getattr__(name: str):
 
     value = globals()[name] = getattr(_oracles, name)
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_ORACLE_NAMES})
 
 
 #: fixed cell order for joint outcomes (k, l); all arrays and CSV output use it

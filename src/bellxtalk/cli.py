@@ -10,12 +10,13 @@ The algebra lives in the library, and sweep (cmd_sweep) and verify
 more than one block. The sweep CSV's text is exactly ``"%.17g" %`` of each
 float, made by _text one numpy pass per column of a block.
 
-verify's engine (CHECKS, VerificationResult, run_verification) lives in
-_verify. This module resolves each of its names on first access (PEP 562)
-and keeps it, and cmd_verify looks them up here, so only verify loads
-_verify, and with it _oracles, and a name replaced here is the one that
-runs; the engine reads VERIFY_BLOCK_ROWS and _max_commutator_norm back
-through this module.
+verify's engine (CHECKS, VerificationResult, run_verification and its
+block size, VERIFY_BLOCK_ROWS) lives in _verify. This module resolves each
+of its names on first access (PEP 562) and keeps it, and cmd_verify looks
+run_verification and CHECKS up here, so only verify loads _verify, and with
+it _oracles, and a run_verification replaced here is the one that runs. The
+engine reads only _max_commutator_norm back through this module, where the
+benchmark's tracer wraps it; a VERIFY_BLOCK_ROWS replaced here is not read.
 
 Importing this module loads no numpy (see _np), and probs, on any --method,
 never does. Each command imports the rest itself: _sweep and _text once the
@@ -46,17 +47,13 @@ CSV_HEADER = "mu,eta,nu,zeta,s,t,p00,p01,p10,p11,entropy,mutual_info,degree,inde
 #: the information columns, the formatting and the write run one block at a
 #: time, so sweep's memory stays at one block whatever the grid size
 SWEEP_BLOCK_ROWS = 4096
-#: verify tuples per block; the draws and every route and check run one block
-#: at a time, so verify's memory stays at one block whatever --samples. Half
-#: sweep's block, for a lower peak; column-slice checks pay for the blocks
-VERIFY_BLOCK_ROWS = 2048
 
 _ANGLE_NAMES = tuple(bipartite.ANGLE_BOUNDS)
 _PLANE_FLAGS = {"x0": Plane.X_ZERO, "y0": Plane.Y_ZERO, "z0": Plane.Z_ZERO}
 
 #: the names _verify defines, resolved on first access (see above)
-_VERIFY_NAMES = frozenset({"CHECKS", "VerificationResult", "run_verification", "_verify_draws",
-                           "_max_commutator_norm"})
+_VERIFY_NAMES = frozenset({"CHECKS", "VERIFY_BLOCK_ROWS", "VerificationResult", "run_verification",
+                           "_verify_draws", "_max_commutator_norm"})
 
 
 def __getattr__(name: str):

@@ -7,30 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bellxtalk import _kernels, bipartite, cli
+from bellxtalk import _kernels, _oracles, _verify, bipartite, cli, observables
+from bellxtalk._oracles import (
+    bell_state,
+    bell_state_batch,
+    commutator_norm,
+    commutator_norms,
+    joint_amplitude_batch,
+    joint_bruteforce_batch,
+    joint_closed_alt_batch,
+    lift_first,
+    lift_second,
+    outcome_frame,
+)
 from bellxtalk.bipartite import (
     INDEX_ORDER,
     BellLabel,
     InternalConsistencyError,
     JointDistribution,
     ObservablePair,
-    bell_state,
-    bell_state_batch,
-    commutator_norm,
-    commutator_norms,
     has_equal_marginals,
     is_klein_symmetric,
-    joint_amplitude_batch,
-    joint_bruteforce_batch,
-    joint_closed_alt_batch,
     joint_closed_batch,
     joint_distribution_amplitude,
     joint_distribution_bruteforce,
     joint_distribution_closed,
-    lift_first,
-    lift_second,
     marginals,
-    outcome_frame,
 )
 from bellxtalk.observables import IDENTITY2, SIGMA1, SIGMA2, SIGMA3, Observable, matrix, named_gate
 
@@ -568,7 +570,7 @@ class TestCommutator:
     def _check_against_reference(self, angles, monkeypatch):
         assert np.abs(commutator_norms(*angles) - self._reference_norms(*angles)).max() <= 1e-15
         # B lifted onto the first factor gives [A, B] (x) I: a nonzero norm to compare
-        monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)
+        monkeypatch.setattr(_oracles, "lift_second", _oracles.lift_first)
         wrong = commutator_norms(*angles)
         reference = self._reference_norms(*angles, second_on_first=True)
         assert reference.max() > 1.0
@@ -585,14 +587,14 @@ class TestCommutator:
         one_label = (s == 0) & (t == 0)  # the commutator does not depend on the label
         self._check_against_reference((mu[one_label], eta[one_label], nu[one_label], zeta[one_label]), monkeypatch)
 
-    @pytest.mark.parametrize("rows", [1, cli.VERIFY_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [1, _verify.VERIFY_BLOCK_ROWS + 1])
     def test_one_row_and_a_block_past_its_end_match_scalar_reference(self, rows, monkeypatch):
         self._check_against_reference(_random_angles(47, rows), monkeypatch)
 
     def test_small_leak_onto_the_wrong_factor_is_measured(self, monkeypatch):
         # I (x) B + 1e-9 B (x) I: the commutator is 1e-9 [A, B] (x) I, far above rounding
-        lift_second = bipartite.lift_second
-        monkeypatch.setattr(bipartite, "lift_second", lambda b: lift_second(b) + 1e-9 * bipartite.lift_first(b))
+        lift_second = _oracles.lift_second
+        monkeypatch.setattr(_oracles, "lift_second", lambda b: lift_second(b) + 1e-9 * _oracles.lift_first(b))
         angles = _random_angles(53, 300)
         reference = self._reference_norms(*angles, leak=1e-9)
         assert reference.max() > 1e-9
@@ -601,13 +603,13 @@ class TestCommutator:
     def test_correct_lifts_build_no_row_matrices(self, monkeypatch):
         # every basis commutator of correct lifts is exactly zero, so each finite row's norm is zero
         calls = []
-        matrices = bipartite.matrices
-        monkeypatch.setattr(bipartite, "matrices", lambda *args: calls.append(len(args[0])) or matrices(*args))
+        matrices = observables.matrices
+        monkeypatch.setattr(observables, "matrices", lambda *args: calls.append(len(args[0])) or matrices(*args))
         angles = _random_angles(61, 1025)
         norms = commutator_norms(*angles)
         assert calls == []
         assert norms.dtype == np.float64 and np.array_equal(norms, np.zeros(len(angles[0])))
-        monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)
+        monkeypatch.setattr(_oracles, "lift_second", _oracles.lift_first)
         assert commutator_norms(*angles).min() > 0.0
         assert calls == [1025, 1025]  # the wrong lift takes the product: A's and B's matrices, once each
 
@@ -623,9 +625,9 @@ class TestCommutator:
     def test_a_given_basis_is_used_as_it_is(self, monkeypatch):
         angles = _random_angles(71, 300)
         correct = commutator_norms(*angles)
-        assert commutator_norms(*angles, bipartite.commutator_basis()).tobytes() == correct.tobytes()
-        monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)
-        wrong_basis = bipartite.commutator_basis()
+        assert commutator_norms(*angles, _oracles.commutator_basis()).tobytes() == correct.tobytes()
+        monkeypatch.setattr(_oracles, "lift_second", _oracles.lift_first)
+        wrong_basis = _oracles.commutator_basis()
         wrong = commutator_norms(*angles)
         assert commutator_norms(*angles, wrong_basis).tobytes() == wrong.tobytes()
         monkeypatch.undo()
@@ -638,7 +640,7 @@ class TestCommutator:
         angles = _random_angles(59, 40)
         correct = commutator_norms(*angles)
         assert correct.max() <= 1e-15
-        monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)
+        monkeypatch.setattr(_oracles, "lift_second", _oracles.lift_first)
         wrong = commutator_norms(*angles)
         assert np.abs(wrong - self._reference_norms(*angles, second_on_first=True)).max() <= 1e-14
         monkeypatch.undo()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellxtalk import _kernels, _sweep, bipartite, cli, information
+from bellxtalk import _kernels, _oracles, _sweep, _verify, bipartite, cli, information
 from bellxtalk.cli import CSV_HEADER, VerificationResult, main, run_verification
 
 PI = math.pi
@@ -252,7 +252,7 @@ class TestVerify:
         maxima[cli.CHECKS.index(check)] = math.nan
         assert not VerificationResult(result.samples, result.seed, tuple(maxima), result.worst_tuple).passes(1.0)
 
-    @pytest.mark.parametrize("block,nan_block,nan_row", [(cli.VERIFY_BLOCK_ROWS, 0, 0), (4, 1, 2)])
+    @pytest.mark.parametrize("block,nan_block,nan_row", [(_verify.VERIFY_BLOCK_ROWS, 0, 0), (4, 1, 2)])
     def test_a_nan_gap_is_the_worst_tuple(self, block, nan_block, nan_row, capsys, monkeypatch):
         # NaN > x is false, so a NaN gap in the first row or a later block must still be the worst row
         amplitude, calls = _kernels.amplitude_joint, []
@@ -264,7 +264,7 @@ class TestVerify:
             calls.append(None)
             return cells
 
-        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", block)
+        monkeypatch.setattr(_verify, "VERIFY_BLOCK_ROWS", block)
         monkeypatch.setattr(_kernels, "amplitude_joint", nan_in_one_row)
         code, out, _ = run_cli(capsys, "verify", "--samples", "10", "--seed", "0")
         assert code == 1
@@ -307,7 +307,7 @@ class TestVerify:
         maxima = dict(zip(cli.CHECKS, run_verification(10, 0).maxima, strict=True))
         assert math.isnan(maxima[check]) == (check in self.FEEDS[kernel])
 
-    @pytest.mark.parametrize("samples,seed", [(1, 0), (7, 3), (cli.VERIFY_BLOCK_ROWS + 5, 11), (3000, 2**63 + 5)])
+    @pytest.mark.parametrize("samples,seed", [(1, 0), (7, 3), (_verify.VERIFY_BLOCK_ROWS + 5, 11), (3000, 2**63 + 5)])
     def test_column_checks_are_bit_identical_to_axis1_reductions(self, samples, seed):
         _assert_same_bits(run_verification(samples, seed).maxima, _axis1_maxima(samples, seed))
 
@@ -315,7 +315,7 @@ class TestVerify:
     @pytest.mark.parametrize("kernel", FEEDS)
     def test_column_checks_are_bit_identical_to_axis1_reductions_with_a_nan(self, kernel, cell, monkeypatch):
         self._plant_nan(monkeypatch, kernel, cell)
-        samples = cli.VERIFY_BLOCK_ROWS + 5
+        samples = _verify.VERIFY_BLOCK_ROWS + 5
         _assert_same_bits(run_verification(samples, 4).maxima, _axis1_maxima(samples, 4))
 
     def test_verify_prints_each_check_once_in_checks_order(self, capsys):
@@ -347,16 +347,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("samples", [6, 7, 8, 1000])
     def test_block_boundaries_do_not_change_the_result(self, samples, monkeypatch):
-        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", samples)
+        monkeypatch.setattr(_verify, "VERIFY_BLOCK_ROWS", samples)
         whole = run_verification(samples=samples, seed=12)
-        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", 7)
+        monkeypatch.setattr(_verify, "VERIFY_BLOCK_ROWS", 7)
         assert run_verification(samples=samples, seed=12) == whole
 
     @pytest.mark.parametrize("seed", [0, 12, 2**63 + 5])
-    @pytest.mark.parametrize("block", [7, cli.VERIFY_BLOCK_ROWS])
+    @pytest.mark.parametrize("block", [7, _verify.VERIFY_BLOCK_ROWS])
     @pytest.mark.parametrize("samples", [1, 2, 7, 4095, 4096, 4097, 100003])
     def test_block_draws_equal_whole_column_draws(self, samples, block, seed, monkeypatch):
-        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", block)
+        monkeypatch.setattr(_verify, "VERIFY_BLOCK_ROWS", block)
         drawn = [np.concatenate(column) for column in zip(*cli._verify_draws(samples, seed))]
         rng = np.random.default_rng(seed)
         whole = [rng.uniform(0.0, high, samples) for high in (PI, 2 * PI, PI, 2 * PI)]
@@ -392,22 +392,22 @@ class TestVerify:
 
     def test_each_block_is_validated_once(self, monkeypatch):
         # the batch routes validated the same six columns in three routes of every block
-        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", 7)
+        monkeypatch.setattr(_verify, "VERIFY_BLOCK_ROWS", 7)
         calls = self._count_calls(monkeypatch, bipartite, "validated_angle")
         run_verification(20, 5)  # blocks of 7, 7 and 6 tuples
         assert [name for name, _ in calls] == ["mu", "eta", "nu", "zeta"] * 3
 
     def test_the_lifts_run_once_per_run(self, monkeypatch):
         # the commutator basis is built once per run, not per block, and not kept between runs
-        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", 7)
-        lifts = [self._count_calls(monkeypatch, bipartite, name) for name in ("lift_first", "lift_second")]
+        monkeypatch.setattr(_verify, "VERIFY_BLOCK_ROWS", 7)
+        lifts = [self._count_calls(monkeypatch, _oracles, name) for name in ("lift_first", "lift_second")]
         run_verification(20, 5)
         assert [len(calls) for calls in lifts] == [1, 1]
         run_verification(20, 5)
         assert [len(calls) for calls in lifts] == [2, 2]
 
     def test_brute_force_gets_the_bits_of_bell_state_batch_for_every_label(self, monkeypatch):
-        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", 7)
+        monkeypatch.setattr(_verify, "VERIFY_BLOCK_ROWS", 7)
         calls = self._count_calls(monkeypatch, _kernels, "bruteforce_joint")
         run_verification(20, 5)
         blocks = list(cli._verify_draws(20, 5))
@@ -415,13 +415,13 @@ class TestVerify:
         labels = set()
         for (*_, psi), (*_, s, t) in zip(calls, blocks):
             assert psi.dtype == np.complex128
-            assert psi.tobytes() == bipartite.bell_state_batch(s, t).tobytes()
+            assert psi.tobytes() == _oracles.bell_state_batch(s, t).tobytes()
             labels.update(zip(s.tolist(), t.tolist()))
         assert labels == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_a_bell_state_off_unit_norm_is_refused_before_any_block(self, monkeypatch):
-        bell_state_batch = bipartite.bell_state_batch
-        monkeypatch.setattr(bipartite, "bell_state_batch", lambda s, t: 1.1 * bell_state_batch(s, t))
+        bell_state_batch = _oracles.bell_state_batch
+        monkeypatch.setattr(_oracles, "bell_state_batch", lambda s, t: 1.1 * bell_state_batch(s, t))
         blocks = self._count_calls(monkeypatch, bipartite, "_validated_rows")
         with pytest.raises(ValueError, match="state vector at row 0 has norm 1.1"):
             run_verification(5, 0)
@@ -433,7 +433,7 @@ class TestVerify:
 
     def test_planted_wrong_lift_fails_the_commutator_check(self, capsys, monkeypatch):
         # B lifted onto the first factor: [A (x) I, B (x) I] = [A, B] (x) I is not zero
-        monkeypatch.setattr(bipartite, "lift_second", bipartite.lift_first)
+        monkeypatch.setattr(_oracles, "lift_second", _oracles.lift_first)
         code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "2")
         assert code == 1
         line = next(l for l in out.splitlines() if "lifted commutator norm" in l)
@@ -443,7 +443,7 @@ class TestVerify:
 
     def test_planted_lift_of_a_onto_the_second_factor_fails_the_commutator_check(self, capsys, monkeypatch):
         # A lifted onto the second factor: [I (x) A, I (x) B] = I (x) [A, B] is not zero
-        monkeypatch.setattr(bipartite, "lift_first", bipartite.lift_second)
+        monkeypatch.setattr(_oracles, "lift_first", _oracles.lift_second)
         code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "2")
         assert code == 1
         line = next(l for l in out.splitlines() if "lifted commutator norm" in l)
@@ -453,8 +453,8 @@ class TestVerify:
 
     def test_small_leak_in_a_lift_fails_the_commutator_check(self, capsys, monkeypatch):
         # I (x) B + 1e-9 B (x) I leaves a commutator near 1e-9, far below the gross faults above
-        lift_second = bipartite.lift_second
-        monkeypatch.setattr(bipartite, "lift_second", lambda b: lift_second(b) + 1e-9 * bipartite.lift_first(b))
+        lift_second = _oracles.lift_second
+        monkeypatch.setattr(_oracles, "lift_second", lambda b: lift_second(b) + 1e-9 * _oracles.lift_first(b))
         code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "2", "--tol", "1e-12")
         assert code == 1
         assert self._statuses(out) == {"lifted commutator norm": "FAIL"}
@@ -474,7 +474,7 @@ class TestVerify:
 
     def test_verify_runs_the_commutator_check_set_on_cli(self, capsys, monkeypatch):
         # _verify reads cli._max_commutator_norm per block, so a replaced one is what each block runs
-        monkeypatch.setattr(cli, "VERIFY_BLOCK_ROWS", 7)
+        monkeypatch.setattr(_verify, "VERIFY_BLOCK_ROWS", 7)
         calls = []
         monkeypatch.setattr(cli, "_max_commutator_norm", lambda *args: calls.append(args) or 0.5)
         code, out, _ = run_cli(capsys, "verify", "--samples", "20", "--seed", "5")
@@ -496,9 +496,9 @@ def _axis1_maxima(samples, seed):
     for mu, eta, nu, zeta, s, t in cli._verify_draws(samples, seed):
         angles = mu, eta, nu, zeta
         closed = bipartite.joint_closed_batch(*angles, s, t, check=False)
-        alternate = bipartite.joint_closed_alt_batch(*angles, s, t)
-        amplitude = bipartite.joint_amplitude_batch(*angles, s, t)
-        brute = bipartite.joint_bruteforce_batch(*angles, bipartite.bell_state_batch(s, t))
+        alternate = _oracles.joint_closed_alt_batch(*angles, s, t)
+        amplitude = _oracles.joint_amplitude_batch(*angles, s, t)
+        brute = _oracles.joint_bruteforce_batch(*angles, _oracles.bell_state_batch(s, t))
         method_gap = np.maximum(
             np.abs(closed - amplitude),
             np.maximum(np.abs(closed - brute), np.abs(amplitude - brute)),
@@ -1054,7 +1054,7 @@ class TestUnwritableOut:
 
 
 def test_commutator_block_peak_stays_small():
-    angles = np.random.default_rng(6).uniform(0.0, PI, (4, cli.VERIFY_BLOCK_ROWS))
+    angles = np.random.default_rng(6).uniform(0.0, PI, (4, _verify.VERIFY_BLOCK_ROWS))
     cli._max_commutator_norm(*angles)
     tracemalloc.start()
     try:
@@ -1073,10 +1073,10 @@ def test_verify_block_peak_stays_small():
     # arrays lived into the next block
     peaks = []
     for blocks in (1, 2):
-        cli.run_verification(blocks * cli.VERIFY_BLOCK_ROWS, 6)
+        cli.run_verification(blocks * _verify.VERIFY_BLOCK_ROWS, 6)
         tracemalloc.start()
         try:
-            cli.run_verification(blocks * cli.VERIFY_BLOCK_ROWS, 6)
+            cli.run_verification(blocks * _verify.VERIFY_BLOCK_ROWS, 6)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -2,7 +2,9 @@
 
 A function, class or assigned name in src/bellxtalk/*.py that occurs as a
 whole word nowhere in src/, tests/ or perfbench/ besides its own definition
-is dead code.
+is dead code. A name that a module imports and never reads itself is there
+only for another module to read through it: that module should import the
+name from where it is defined.
 """
 
 import ast
@@ -35,3 +37,15 @@ def test_every_module_level_name_is_used():
                 defined.setdefault(name, []).append(path.name)
     unused = [f"{where[0]}: {name}" for name, where in defined.items() if words[name] <= len(where)]
     assert unused == []
+
+
+def test_every_module_level_import_is_read_in_its_module():
+    unread = []
+    for path in sorted((ROOT / "src" / "bellxtalk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                unread.extend(f"{path.name}: {name}" for name in bound if name not in read)
+    assert unread == []
