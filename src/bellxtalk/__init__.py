@@ -13,7 +13,7 @@ import importlib
 #: resolved, and kept, on first access (PEP 562), so importing the package or
 #: one of its modules loads no other module of it
 _EXPORTS = {
-    "_oracles": ("OutcomeFrame", "bell_state", "commutator_norm", "lift_first", "lift_second", "outcome_frame"),
+    "_verify": ("OutcomeFrame", "bell_state", "commutator_norm", "lift_first", "lift_second", "outcome_frame"),
     "bipartite": (
         "INDEX_ORDER", "BellLabel", "InternalConsistencyError", "JointDistribution", "ObservablePair",
         "has_equal_marginals", "is_klein_symmetric", "joint_distribution_amplitude",

@@ -20,11 +20,11 @@ plain Python, and JointDistribution checks and clamps the cells. The
 closed-variant cross-check runs on both routes, on the single pair's row as
 plain floats, and fails on a gap beyond CLOSED_VARIANT_TOL or a NaN.
 
-The algebra only verification runs lives in _oracles: the Bell state vectors
+The algebra only verification runs lives in _verify: the Bell state vectors
 (bell_state, bell_state_batch), the lifts and their commutator norms, the
 outcome frame and the other batch routes. Four of its names stay importable
 from here (_ORACLE_NAMES), resolved on first access (PEP 562) and kept, so a
-run that uses none of them never compiles _oracles.
+run that uses none of them never compiles _verify.
 
 A single pair through any of the three routes uses no numpy name, given
 bell_state_row rather than bell_state for brute force, so it loads no numpy
@@ -39,7 +39,7 @@ from . import _kernels
 from . import _np as np
 from .observables import TWO_PI, Observable, Record, bit_value, require_tolerance
 
-#: the names of _oracles that tests/test_acceptance.py imports from here, resolved on first access
+#: the oracles of _verify that tests/test_acceptance.py imports from here, resolved on first access
 _ORACLE_NAMES = frozenset({"bell_state_batch", "joint_closed_alt_batch", "joint_amplitude_batch",
                            "joint_bruteforce_batch"})
 
@@ -47,9 +47,9 @@ _ORACLE_NAMES = frozenset({"bell_state_batch", "joint_closed_alt_batch", "joint_
 def __getattr__(name: str):
     if name not in _ORACLE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import _oracles
+    from . import _verify
 
-    value = globals()[name] = getattr(_oracles, name)
+    value = globals()[name] = getattr(_verify, name)
     return value
 
 

@@ -10,13 +10,11 @@ The algebra lives in the library, and sweep (cmd_sweep) and verify
 more than one block. The sweep CSV's text is exactly ``"%.17g" %`` of each
 float, made by _text one numpy pass per column of a block.
 
-verify's engine (CHECKS, VerificationResult, run_verification and its
-block size, VERIFY_BLOCK_ROWS) lives in _verify. This module resolves each
-of its names on first access (PEP 562) and keeps it, and cmd_verify looks
-run_verification and CHECKS up here, so only verify loads _verify, and with
-it _oracles, and a run_verification replaced here is the one that runs. The
-engine reads only _max_commutator_norm back through this module, where the
-benchmark's tracer wraps it; a VERIFY_BLOCK_ROWS replaced here is not read.
+verify's engine lives in _verify. This module resolves two of its names,
+run_verification and _max_commutator_norm, on first access (PEP 562) and
+keeps them: cmd_verify runs run_verification looked up here, and the engine
+reads _max_commutator_norm back through this module, so a name the
+benchmark's tracer replaces here is the one that runs.
 
 Importing this module loads no numpy (see _np), and probs, on any --method,
 never does. Each command imports the rest itself: _sweep and _text once the
@@ -51,9 +49,8 @@ SWEEP_BLOCK_ROWS = 4096
 _ANGLE_NAMES = tuple(bipartite.ANGLE_BOUNDS)
 _PLANE_FLAGS = {"x0": Plane.X_ZERO, "y0": Plane.Y_ZERO, "z0": Plane.Z_ZERO}
 
-#: the names _verify defines, resolved on first access (see above)
-_VERIFY_NAMES = frozenset({"CHECKS", "VERIFY_BLOCK_ROWS", "VerificationResult", "run_verification",
-                           "_verify_draws", "_max_commutator_norm"})
+#: the names of _verify resolved here on first access (see above)
+_VERIFY_NAMES = frozenset({"run_verification", "_max_commutator_norm"})
 
 
 def __getattr__(name: str):
@@ -63,10 +60,6 @@ def __getattr__(name: str):
 
     value = globals()[name] = getattr(_verify, name)
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_VERIFY_NAMES})
 
 
 def _fmt(value: float) -> str:
@@ -272,10 +265,12 @@ def _replacing(path: str):
 
 def cmd_verify(args) -> int:
     require_tolerance(args.tol)
-    engine = sys.modules[__name__]  # through the module: its __getattr__ loads _verify, and a patched name runs
-    result = engine.run_verification(samples=args.samples, seed=args.seed)
+    from ._verify import CHECKS
+
+    # through the module: its __getattr__ resolves the engine, and a patched name runs
+    result = sys.modules[__name__].run_verification(samples=args.samples, seed=args.seed)
     print(f"samples={result.samples} seed={result.seed} tol={args.tol:g}")
-    for name, value in zip(engine.CHECKS, result.maxima):
+    for name, value in zip(CHECKS, result.maxima):
         print(f"  {name:<30} {value:.3e}  {'OK' if value <= args.tol else 'FAIL'}")
     if not result.passes(args.tol):
         mu, eta, nu, zeta, s, t = result.worst_tuple

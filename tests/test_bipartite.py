@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bellxtalk import _kernels, _oracles, _verify, bipartite, cli, observables
-from bellxtalk._oracles import (
+from bellxtalk import _kernels, _verify, bipartite, cli, observables
+from bellxtalk._verify import (
     bell_state,
     bell_state_batch,
     commutator_norm,
@@ -544,7 +544,7 @@ class TestCommutator:
         for _ in range(25):
             mu, eta, nu, zeta = rng.uniform(0, PI), rng.uniform(0, 2 * PI), rng.uniform(0, PI), rng.uniform(0, 2 * PI)
             rows = np.array([mu]), np.array([eta]), np.array([nu]), np.array([zeta])
-            assert commutator_norm(pair_of(mu, eta, nu, zeta)) == cli._max_commutator_norm(*rows)
+            assert commutator_norm(pair_of(mu, eta, nu, zeta)) == cli._max_commutator_norm(*rows, _verify.commutator_basis())
 
     @staticmethod
     def _reference_norms(mu, eta, nu, zeta, second_on_first=False, leak=0.0):
@@ -570,7 +570,7 @@ class TestCommutator:
     def _check_against_reference(self, angles, monkeypatch):
         assert np.abs(commutator_norms(*angles) - self._reference_norms(*angles)).max() <= 1e-15
         # B lifted onto the first factor gives [A, B] (x) I: a nonzero norm to compare
-        monkeypatch.setattr(_oracles, "lift_second", _oracles.lift_first)
+        monkeypatch.setattr(_verify, "lift_second", _verify.lift_first)
         wrong = commutator_norms(*angles)
         reference = self._reference_norms(*angles, second_on_first=True)
         assert reference.max() > 1.0
@@ -593,8 +593,8 @@ class TestCommutator:
 
     def test_small_leak_onto_the_wrong_factor_is_measured(self, monkeypatch):
         # I (x) B + 1e-9 B (x) I: the commutator is 1e-9 [A, B] (x) I, far above rounding
-        lift_second = _oracles.lift_second
-        monkeypatch.setattr(_oracles, "lift_second", lambda b: lift_second(b) + 1e-9 * _oracles.lift_first(b))
+        lift_second = _verify.lift_second
+        monkeypatch.setattr(_verify, "lift_second", lambda b: lift_second(b) + 1e-9 * _verify.lift_first(b))
         angles = _random_angles(53, 300)
         reference = self._reference_norms(*angles, leak=1e-9)
         assert reference.max() > 1e-9
@@ -609,7 +609,7 @@ class TestCommutator:
         norms = commutator_norms(*angles)
         assert calls == []
         assert norms.dtype == np.float64 and np.array_equal(norms, np.zeros(len(angles[0])))
-        monkeypatch.setattr(_oracles, "lift_second", _oracles.lift_first)
+        monkeypatch.setattr(_verify, "lift_second", _verify.lift_first)
         assert commutator_norms(*angles).min() > 0.0
         assert calls == [1025, 1025]  # the wrong lift takes the product: A's and B's matrices, once each
 
@@ -625,9 +625,9 @@ class TestCommutator:
     def test_a_given_basis_is_used_as_it_is(self, monkeypatch):
         angles = _random_angles(71, 300)
         correct = commutator_norms(*angles)
-        assert commutator_norms(*angles, _oracles.commutator_basis()).tobytes() == correct.tobytes()
-        monkeypatch.setattr(_oracles, "lift_second", _oracles.lift_first)
-        wrong_basis = _oracles.commutator_basis()
+        assert commutator_norms(*angles, _verify.commutator_basis()).tobytes() == correct.tobytes()
+        monkeypatch.setattr(_verify, "lift_second", _verify.lift_first)
+        wrong_basis = _verify.commutator_basis()
         wrong = commutator_norms(*angles)
         assert commutator_norms(*angles, wrong_basis).tobytes() == wrong.tobytes()
         monkeypatch.undo()
@@ -640,7 +640,7 @@ class TestCommutator:
         angles = _random_angles(59, 40)
         correct = commutator_norms(*angles)
         assert correct.max() <= 1e-15
-        monkeypatch.setattr(_oracles, "lift_second", _oracles.lift_first)
+        monkeypatch.setattr(_verify, "lift_second", _verify.lift_first)
         wrong = commutator_norms(*angles)
         assert np.abs(wrong - self._reference_norms(*angles, second_on_first=True)).max() <= 1e-14
         monkeypatch.undo()

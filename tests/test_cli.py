@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellxtalk import _kernels, _oracles, _sweep, _verify, bipartite, cli, information
-from bellxtalk.cli import CSV_HEADER, VerificationResult, main, run_verification
+from bellxtalk import _kernels, _sweep, _verify, bipartite, cli, information
+from bellxtalk._verify import CHECKS, VerificationResult
+from bellxtalk.cli import CSV_HEADER, main, run_verification
 
 PI = math.pi
 PI_STR = repr(PI)
@@ -110,6 +111,16 @@ class TestProbs:
 
     def test_usage_error_on_bad_bit(self, capsys):
         assert run_cli(capsys, "probs", "--s", "2")[0] == 2
+
+    @pytest.mark.parametrize("given,reduced", [
+        ("7", "0.71681469282041377"), ("-1", "5.2831853071795862"), (repr(2 * PI), "0"),
+    ])
+    def test_any_finite_azimuth_is_reduced_modulo_two_pi(self, capsys, given, reduced):
+        point = ("--mu", "1", "--nu", "1.3", "--s", "1")
+        code, out, _ = run_cli(capsys, "probs", *point, "--eta", given, "--zeta", given)
+        assert code == 0
+        assert out.splitlines()[:2] == [f"observable A: mu=1 eta={reduced}", f"observable B: nu=1.3 zeta={reduced}"]
+        assert out == run_cli(capsys, "probs", *point, "--eta", reduced, "--zeta", reduced)[1]
 
 
 class TestSweep:
@@ -239,17 +250,17 @@ class TestVerify:
 
     def test_run_verification_values(self):
         result = run_verification(samples=1500, seed=4)
-        maxima = dict(zip(cli.CHECKS, result.maxima, strict=True))
+        maxima = dict(zip(CHECKS, result.maxima, strict=True))
         assert maxima.pop("lifted commutator norm") <= 1e-13
         assert max(maxima.values()) <= 1e-12
         assert result.passes(1e-12)
 
-    @pytest.mark.parametrize("check", cli.CHECKS)
+    @pytest.mark.parametrize("check", CHECKS)
     def test_a_nan_check_fails_the_run(self, check):
         result = run_verification(samples=5, seed=1)
         assert result.passes(1.0)
         maxima = list(result.maxima)
-        maxima[cli.CHECKS.index(check)] = math.nan
+        maxima[CHECKS.index(check)] = math.nan
         assert not VerificationResult(result.samples, result.seed, tuple(maxima), result.worst_tuple).passes(1.0)
 
     @pytest.mark.parametrize("block,nan_block,nan_row", [(_verify.VERIFY_BLOCK_ROWS, 0, 0), (4, 1, 2)])
@@ -269,7 +280,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--samples", "10", "--seed", "0")
         assert code == 1
         assert "three-method max gap           nan  FAIL" in out
-        columns = [np.concatenate(column) for column in zip(*cli._verify_draws(10, 0))]
+        columns = [np.concatenate(column) for column in zip(*_verify._verify_draws(10, 0))]
         mu, eta, nu, zeta, s, t = (column[nan_block * block + nan_row] for column in columns)
         assert out.splitlines()[-2:] == [
             "worst tuple:",
@@ -298,13 +309,13 @@ class TestVerify:
 
         monkeypatch.setattr(_kernels, kernel, planted)
 
-    @pytest.mark.parametrize("check", cli.CHECKS)
+    @pytest.mark.parametrize("check", CHECKS)
     @pytest.mark.parametrize("kernel", FEEDS)
     def test_a_nan_route_makes_each_check_it_feeds_nan(self, kernel, check, monkeypatch):
         # a Python max() over the routes kept a NaN only when it came first: a NaN
         # amplitude cell (0, 0) left the normalization error at 3.3e-16
         self._plant_nan(monkeypatch, kernel)
-        maxima = dict(zip(cli.CHECKS, run_verification(10, 0).maxima, strict=True))
+        maxima = dict(zip(CHECKS, run_verification(10, 0).maxima, strict=True))
         assert math.isnan(maxima[check]) == (check in self.FEEDS[kernel])
 
     @pytest.mark.parametrize("samples,seed", [(1, 0), (7, 3), (_verify.VERIFY_BLOCK_ROWS + 5, 11), (3000, 2**63 + 5)])
@@ -322,7 +333,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--samples", "20", "--seed", "3")
         assert code == 0
         lines = out.splitlines()
-        assert [line[:32].strip() for line in lines[1:-1]] == list(cli.CHECKS)
+        assert [line[:32].strip() for line in lines[1:-1]] == list(CHECKS)
         assert lines[-1] == "all checks passed"
 
     @pytest.mark.parametrize("samples,seed", [(2.5, 0), (5.0, 0), (5, 1.5), ("5", 0), (5, "1")])
@@ -357,7 +368,7 @@ class TestVerify:
     @pytest.mark.parametrize("samples", [1, 2, 7, 4095, 4096, 4097, 100003])
     def test_block_draws_equal_whole_column_draws(self, samples, block, seed, monkeypatch):
         monkeypatch.setattr(_verify, "VERIFY_BLOCK_ROWS", block)
-        drawn = [np.concatenate(column) for column in zip(*cli._verify_draws(samples, seed))]
+        drawn = [np.concatenate(column) for column in zip(*_verify._verify_draws(samples, seed))]
         rng = np.random.default_rng(seed)
         whole = [rng.uniform(0.0, high, samples) for high in (PI, 2 * PI, PI, 2 * PI)]
         whole += [rng.integers(0, 2, samples) for _ in range(2)]
@@ -400,7 +411,7 @@ class TestVerify:
     def test_the_lifts_run_once_per_run(self, monkeypatch):
         # the commutator basis is built once per run, not per block, and not kept between runs
         monkeypatch.setattr(_verify, "VERIFY_BLOCK_ROWS", 7)
-        lifts = [self._count_calls(monkeypatch, _oracles, name) for name in ("lift_first", "lift_second")]
+        lifts = [self._count_calls(monkeypatch, _verify, name) for name in ("lift_first", "lift_second")]
         run_verification(20, 5)
         assert [len(calls) for calls in lifts] == [1, 1]
         run_verification(20, 5)
@@ -410,18 +421,18 @@ class TestVerify:
         monkeypatch.setattr(_verify, "VERIFY_BLOCK_ROWS", 7)
         calls = self._count_calls(monkeypatch, _kernels, "bruteforce_joint")
         run_verification(20, 5)
-        blocks = list(cli._verify_draws(20, 5))
+        blocks = list(_verify._verify_draws(20, 5))
         assert len(calls) == len(blocks) == 3
         labels = set()
         for (*_, psi), (*_, s, t) in zip(calls, blocks):
             assert psi.dtype == np.complex128
-            assert psi.tobytes() == _oracles.bell_state_batch(s, t).tobytes()
+            assert psi.tobytes() == _verify.bell_state_batch(s, t).tobytes()
             labels.update(zip(s.tolist(), t.tolist()))
         assert labels == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_a_bell_state_off_unit_norm_is_refused_before_any_block(self, monkeypatch):
-        bell_state_batch = _oracles.bell_state_batch
-        monkeypatch.setattr(_oracles, "bell_state_batch", lambda s, t: 1.1 * bell_state_batch(s, t))
+        bell_state_batch = _verify.bell_state_batch
+        monkeypatch.setattr(_verify, "bell_state_batch", lambda s, t: 1.1 * bell_state_batch(s, t))
         blocks = self._count_calls(monkeypatch, bipartite, "_validated_rows")
         with pytest.raises(ValueError, match="state vector at row 0 has norm 1.1"):
             run_verification(5, 0)
@@ -433,7 +444,7 @@ class TestVerify:
 
     def test_planted_wrong_lift_fails_the_commutator_check(self, capsys, monkeypatch):
         # B lifted onto the first factor: [A (x) I, B (x) I] = [A, B] (x) I is not zero
-        monkeypatch.setattr(_oracles, "lift_second", _oracles.lift_first)
+        monkeypatch.setattr(_verify, "lift_second", _verify.lift_first)
         code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "2")
         assert code == 1
         line = next(l for l in out.splitlines() if "lifted commutator norm" in l)
@@ -443,7 +454,7 @@ class TestVerify:
 
     def test_planted_lift_of_a_onto_the_second_factor_fails_the_commutator_check(self, capsys, monkeypatch):
         # A lifted onto the second factor: [I (x) A, I (x) B] = I (x) [A, B] is not zero
-        monkeypatch.setattr(_oracles, "lift_first", _oracles.lift_second)
+        monkeypatch.setattr(_verify, "lift_first", _verify.lift_second)
         code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "2")
         assert code == 1
         line = next(l for l in out.splitlines() if "lifted commutator norm" in l)
@@ -453,8 +464,8 @@ class TestVerify:
 
     def test_small_leak_in_a_lift_fails_the_commutator_check(self, capsys, monkeypatch):
         # I (x) B + 1e-9 B (x) I leaves a commutator near 1e-9, far below the gross faults above
-        lift_second = _oracles.lift_second
-        monkeypatch.setattr(_oracles, "lift_second", lambda b: lift_second(b) + 1e-9 * _oracles.lift_first(b))
+        lift_second = _verify.lift_second
+        monkeypatch.setattr(_verify, "lift_second", lambda b: lift_second(b) + 1e-9 * _verify.lift_first(b))
         code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "2", "--tol", "1e-12")
         assert code == 1
         assert self._statuses(out) == {"lifted commutator norm": "FAIL"}
@@ -465,7 +476,7 @@ class TestVerify:
 
         def stub(samples, seed):
             seen.append((samples, seed))
-            return VerificationResult(samples, seed, (0.0,) * len(cli.CHECKS), (0.0, 0.0, 0.0, 0.0, 0, 0))
+            return VerificationResult(samples, seed, (0.0,) * len(CHECKS), (0.0, 0.0, 0.0, 0.0, 0, 0))
 
         monkeypatch.setattr(cli, "run_verification", stub)
         code, out, _ = run_cli(capsys, "verify", "--samples", "3", "--seed", "4")
@@ -493,12 +504,12 @@ def _axis1_maxima(samples, seed):
     """verify's maxima from the (n, 4) reductions along axis=1 it used before
     its column slices, each check folded over its routes with np.max."""
     blocks = []
-    for mu, eta, nu, zeta, s, t in cli._verify_draws(samples, seed):
+    for mu, eta, nu, zeta, s, t in _verify._verify_draws(samples, seed):
         angles = mu, eta, nu, zeta
         closed = bipartite.joint_closed_batch(*angles, s, t, check=False)
-        alternate = _oracles.joint_closed_alt_batch(*angles, s, t)
-        amplitude = _oracles.joint_amplitude_batch(*angles, s, t)
-        brute = _oracles.joint_bruteforce_batch(*angles, _oracles.bell_state_batch(s, t))
+        alternate = _verify.joint_closed_alt_batch(*angles, s, t)
+        amplitude = _verify.joint_amplitude_batch(*angles, s, t)
+        brute = _verify.joint_bruteforce_batch(*angles, _verify.bell_state_batch(s, t))
         method_gap = np.maximum(
             np.abs(closed - amplitude),
             np.maximum(np.abs(closed - brute), np.abs(amplitude - brute)),
@@ -519,7 +530,7 @@ def _axis1_maxima(samples, seed):
                 np.abs(brute[:, 1] + brute[:, 3] - 0.5).max(),
             ]),
             np.abs(closed - alternate).max(),
-            cli._max_commutator_norm(*angles),
+            cli._max_commutator_norm(*angles, _verify.commutator_basis()),
         ])
     return np.max(blocks, axis=0)
 
@@ -613,6 +624,14 @@ class TestSampleCommand:
 
     def test_bad_n_rejected(self, capsys):
         assert run_cli(capsys, "sample", "--n", "0")[0] == 2
+
+    @pytest.mark.parametrize("given,reduced", [("7", "0.71681469282041377"), ("-1", "5.2831853071795862")])
+    def test_any_finite_azimuth_is_reduced_modulo_two_pi(self, capsys, given, reduced):
+        # sample prints no angle, so its report at the given azimuth is compared with its report at the reduced one
+        point = ("--mu", "1", "--nu", "1.3", "--n", "1000", "--seed", "5")
+        code, out, _ = run_cli(capsys, "sample", *point, "--eta", given, "--zeta", "0.4")
+        assert code == 0
+        assert out == run_cli(capsys, "sample", *point, "--eta", reduced, "--zeta", "0.4")[1]
 
 
 class TestTopLevel:
@@ -1055,10 +1074,10 @@ class TestUnwritableOut:
 
 def test_commutator_block_peak_stays_small():
     angles = np.random.default_rng(6).uniform(0.0, PI, (4, _verify.VERIFY_BLOCK_ROWS))
-    cli._max_commutator_norm(*angles)
+    cli._max_commutator_norm(*angles, _verify.commutator_basis())
     tracemalloc.start()
     try:
-        cli._max_commutator_norm(*angles)
+        cli._max_commutator_norm(*angles, _verify.commutator_basis())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellxtalk import _kernels, _oracles, _verify
+from bellxtalk import _kernels, _verify
 from test_bipartite import EDGE_AZIMUTH, EDGE_POLAR, LABELS, _edge_grid
 
 
@@ -46,7 +46,7 @@ def _random_angles(rng, n):
 def test_bruteforce_matches_einsum_reference_on_random_rows(s, t):
     rng = np.random.default_rng(10 + 2 * s + t)
     angles = _random_angles(rng, 5000)
-    psi = _oracles.bell_state_batch(np.full(5000, s), np.full(5000, t))
+    psi = _verify.bell_state_batch(np.full(5000, s), np.full(5000, t))
     got = _kernels.bruteforce_joint(*angles, psi)
     assert got.shape == (5000, 4)
     assert np.abs(got - reference_bruteforce(*angles, psi)).max() <= 1e-15
@@ -54,7 +54,7 @@ def test_bruteforce_matches_einsum_reference_on_random_rows(s, t):
 
 def test_bruteforce_matches_einsum_reference_on_edge_grid():
     mu, eta, nu, zeta, s, t = _edge_grid(EDGE_POLAR, EDGE_AZIMUTH)
-    psi = _oracles.bell_state_batch(s, t)
+    psi = _verify.bell_state_batch(s, t)
     got = _kernels.bruteforce_joint(mu, eta, nu, zeta, psi)
     assert np.abs(got - reference_bruteforce(mu, eta, nu, zeta, psi)).max() <= 1e-15
 
@@ -121,7 +121,7 @@ def _columns(rows):
 def _kernel_args(name, mu, eta, nu, zeta, s, t):
     """The kernel's arguments for these rows: brute force takes the Bell states of s, t for the bits."""
     if name == "bruteforce_joint":
-        return mu, eta, nu, zeta, _oracles.bell_state_batch(s, t)
+        return mu, eta, nu, zeta, _verify.bell_state_batch(s, t)
     return mu, eta, nu, zeta, s, t
 
 

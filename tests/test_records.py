@@ -6,9 +6,8 @@ import pickle
 import numpy as np
 import pytest
 
-from bellxtalk._oracles import OutcomeFrame, outcome_frame
+from bellxtalk._verify import OutcomeFrame, VerificationResult, outcome_frame
 from bellxtalk.bipartite import BellLabel, JointDistribution, ObservablePair
-from bellxtalk.cli import VerificationResult
 from bellxtalk.independence import ConditionKind, IndependenceRoot, PlaneCondition
 from bellxtalk.information import CrosstalkReport, crosstalk_report
 from bellxtalk.observables import BlochDirection, Observable, Plane, PlaneClass, Record

@@ -2,10 +2,10 @@
 
 Importing the CLI and building its parser loads no numpy and no module that
 only some commands run; probs, on every route, and independence never load
-numpy; only verify loads its engine (_verify) and the oracles (_oracles); no
-command loads dataclasses; the package, cli and bipartite resolve their lazy
-names on first use. numpy is imported in one place, the lazy module
-bellxtalk._np.
+numpy; each command loads only its own private modules (sweep _sweep and
+_text, verify _verify); no command loads dataclasses; the package, cli and
+bipartite resolve their lazy names on first use. numpy is imported in one
+place, the lazy module bellxtalk._np.
 """
 
 import ast
@@ -25,8 +25,8 @@ import bellxtalk
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bellxtalk.__file__)))
 
 #: loaded only by the commands that use them
-DEFERRED = ("numpy", "bellxtalk.independence", "bellxtalk.sampler", "bellxtalk._verify", "bellxtalk._oracles",
-            "tempfile")
+DEFERRED = ("numpy", "bellxtalk.independence", "bellxtalk.sampler", "bellxtalk._sweep", "bellxtalk._text",
+            "bellxtalk._verify", "tempfile")
 #: loaded by no command: the records are built on observables.Record
 NEVER = ("dataclasses",)
 
@@ -81,25 +81,35 @@ def test_array_commands_import_numpy(argv):
     assert _probe(_AFTER_MAIN, *argv) == ["0 True False"]
 
 
-_ENGINE = ("bellxtalk._verify", "bellxtalk._oracles")
+#: the package's private modules that the command loads beyond those the CLI's import loads
+_OWN_MODULES = [
+    *[(("probs", "--method", method), ()) for method in ("closed", "amplitude", "brute", "all")],
+    (("sweep", "--vary", "mu=0:1:3"), ("bellxtalk._sweep", "bellxtalk._text")),
+    (("sample", "--n", "10"), ()),
+    (("independence", "--plane", "y0", "--s", "1", "--t", "0", "--mu", "0.3"), ()),
+    (("verify", "--samples", "3"), ("bellxtalk._verify",)),
+]
 
-#: every command but verify, then verify, in one interpreter: what a command loads stays loaded
-_COMMANDS_THEN_VERIFY = """
-runs = [["probs", "--method", method] for method in ("closed", "amplitude", "brute", "all")] + [
-    ["sweep", "--vary", "mu=0:1:3"], ["sample", "--n", "10"],
-    ["independence", "--plane", "y0", "--s", "1", "--t", "0", "--mu", "0.3"], ["verify", "--samples", "3"]]
-for argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    print(argv[0], code, *(name in sys.modules for name in {engine!r}))
+_NEW_PRIVATE = """
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(name for name in set(sys.modules) - before if name.startswith("bellxtalk._")))
 """
 
 
-def test_only_verify_loads_its_engine_and_the_oracles():
-    assert _probe(_COMMANDS_THEN_VERIFY.format(engine=_ENGINE)) == [
-        *["probs 0 False False"] * 4, "sweep 0 False False", "sample 0 False False", "independence 0 False False",
-        "verify 0 True True",
-    ]
+@pytest.mark.parametrize("argv, own", _OWN_MODULES, ids=[" ".join(argv[:3]) for argv, _ in _OWN_MODULES])
+def test_each_command_loads_only_its_own_private_modules(argv, own):
+    assert _probe(_NEW_PRIVATE, *argv) == [" ".join(["0", *own])]
+
+
+def test_the_package_exports_of_the_oracles_load_no_cli():
+    # _verify imports cli inside run_verification, not at its top
+    code = "import sys, bellxtalk\nbellxtalk.lift_first\nprint(*(m in sys.modules for m in sys.argv[1:]))"
+    modules = ["bellxtalk._verify", "bellxtalk.cli", "argparse"]
+    result = subprocess.run([sys.executable, "-c", code, *modules], env=dict(os.environ, PYTHONPATH=SRC),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "True False False\n"
 
 
 #: perfbench's CLI_CODE: tracemalloc from the first statement, then the CLI as ``python -m bellxtalk``
@@ -209,7 +219,7 @@ def test_cold_sweep_peak_stays_at_one_block(tmp_path):
 
 #: each module's compile peak on its own, in MB, stays below this limit, which
 #: lies just above the module's peak at the foot of its next allocation step:
-#: cli.py 1.22 today, 1.58 about 290 ``_pad = 0`` lines on and 1.81 past its
+#: cli.py 1.21 today, 1.58 about 290 ``_pad = 0`` lines on and 1.81 past its
 #: step; bipartite.py 0.87 today, 1.48 about 500 lines on and 1.70 past its
 #: step. ``PYTHONPATH=src python tests/test_startup.py`` prints each module's
 #: peak and headroom, and each compile's peak inside a cold probs --method all
@@ -270,17 +280,17 @@ for module in (bellxtalk, bellxtalk.observables, cli, bellxtalk.bipartite):
         module.no_such_name
     except AttributeError as exc:
         print(exc)
-print(hasattr(cli, "__path__"), hasattr(bellxtalk.bipartite, "__wrapped__"), *(name in sys.modules for name in {engine!r}))
-""".format(engine=_ENGINE)
+print(hasattr(cli, "__path__"), hasattr(bellxtalk.bipartite, "__wrapped__"), "bellxtalk._verify" in sys.modules)
+"""
     assert _probe(body) == ["module 'bellxtalk' has no attribute 'no_such_name'",
                             "module 'bellxtalk.observables' has no attribute 'no_such_name'",
                             "module 'bellxtalk.cli' has no attribute 'no_such_name'",
                             "module 'bellxtalk.bipartite' has no attribute 'no_such_name'",
-                            "False False False False"]
+                            "False False False"]
 
 
 #: each module with lazy names: the module that defines them and the table that lists them
-_LAZY = {"cli": ("_verify", "_VERIFY_NAMES"), "bipartite": ("_oracles", "_ORACLE_NAMES")}
+_LAZY = {"cli": ("_verify", "_VERIFY_NAMES"), "bipartite": ("_verify", "_ORACLE_NAMES")}
 
 
 def _defined(module: str) -> set[str]:
@@ -294,6 +304,14 @@ def _defined(module: str) -> set[str]:
     return defined
 
 
+def _traced_on_cli() -> set[str]:
+    """The functions that perfbench's tracer wraps on cli (tracing.WRAPPED["cli"])."""
+    tree = ast.parse(pathlib.Path(SRC).parent.joinpath("perfbench", "tracing.py").read_text(encoding="utf-8"))
+    wrapped = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["WRAPPED"])
+    return set(ast.literal_eval(wrapped)["cli"])
+
+
 def _acceptance_imports(module: str) -> set[str]:
     """Names that tests/test_acceptance.py imports from the package module."""
     tree = ast.parse(pathlib.Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8"))
@@ -303,10 +321,12 @@ def _acceptance_imports(module: str) -> set[str]:
 
 @pytest.mark.parametrize("module", _LAZY)
 def test_each_lazy_table_lists_every_name_its_module_defines(module):
-    # cli lists every name of its engine; bipartite only the oracles that the acceptance suite imports from it
+    # cli lists the engine's names that the tracer wraps on it; bipartite the oracles that the
+    # acceptance suite imports from it
     defining, table = _LAZY[module]
-    expected = _defined(defining)
-    if module == "bipartite":
+    if module == "cli":
+        expected = _traced_on_cli() & _defined(defining)
+    else:
         expected = _acceptance_imports(module) - _defined(module)
         assert expected <= _defined(defining)
     assert set(getattr(importlib.import_module(f"bellxtalk.{module}"), table)) == expected
@@ -318,14 +338,22 @@ import importlib
 for module, (defining, table) in {lazy!r}.items():
     old = importlib.import_module(f"bellxtalk.{{module}}")
     names = sorted(getattr(old, table))
-    listed = set(dir(old))  # before any lazy name is resolved
     for name in names:
         exec(f"from bellxtalk.{{module}} import {{name}} as value")
         new = sys.modules[f"bellxtalk.{{defining}}"]
         assert value is getattr(new, name) is vars(old)[name] is getattr(old, name), (module, name)
-    print(module, len(names), *([listed >= set(names)] if module == "cli" else []))
+    print(module, len(names))
 """.format(lazy=_LAZY)
-    assert _probe(body) == ["cli 6 True", "bipartite 4"]
+    assert _probe(body) == ["cli 2", "bipartite 4"]
+
+
+def test_cli_resolves_no_other_name_of_the_engine():
+    body = """
+cli.run_verification  # loads the engine
+print(*(hasattr(cli, name) for name in ("CHECKS", "VERIFY_BLOCK_ROWS", "VerificationResult", "_verify_draws")))
+print("__dir__" in vars(cli), "bellxtalk._verify" in sys.modules)
+"""
+    assert _probe(body) == ["False False False False", "False True"]
 
 
 def test_matrix_constants_are_built_once_on_first_use():
