@@ -22,8 +22,9 @@ Three more keys each hold one sha256: LIBRARY_KEY of library_text
 edge grids), PROBS_KEY of probs_text (``probs --method all`` over an edge
 grid) and REPORT_KEY of report_text (``crosstalk_report`` as ``float.hex`` on
 fixed points). SAMPLE_KEY holds the sha256 of sample_text, the stdout of
-``sample`` at pinned seeds. Rebuild the file only when an output is meant to
-change.
+``sample`` at pinned seeds. SOLVER_KEY holds solver_lines itself: the roots
+of ``solve_independence`` as ``float.hex`` on seeded paths. Rebuild the file
+only when an output is meant to change.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from bellxtalk.independence import (
     condition_z_plane,
     partner_angles,
     plane_condition,
+    solve_independence,
 )
 from bellxtalk.information import crosstalk_report
 from bellxtalk.observables import Observable, Plane
@@ -56,6 +58,7 @@ LIBRARY_KEY = "independence library sha256"
 PROBS_KEY = "probs --method all edge grid sha256"
 REPORT_KEY = "crosstalk_report float.hex sha256"
 SAMPLE_KEY = "sample stdout sha256"
+SOLVER_KEY = "solve_independence float.hex"
 #: the poles, the plane boundaries and the closed end 2*pi
 EDGE_POLAR = (0.0, PI / 2, PI)
 EDGE_AZIMUTH = (0.0, PI / 2, PI, 2 * PI)
@@ -238,6 +241,39 @@ def report_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def solver_paths() -> list[tuple[str, object, int]]:
+    """(name, path, grid) of each solver case: seeded random paths, then a path with roots on its grid.
+
+    The random paths sweep mu over [0, pi] and, on the second kind, zeta over
+    [z, z + 2*pi], which Observable reduces modulo 2*pi; the last path lies in
+    the x=0 plane, where theta = 1/4 at mu + nu = pi/2 or |mu - nu| = pi/2.
+    """
+    rng = random.Random(20240611)
+    paths = []
+    for i in range(3):
+        eta, nu, zeta = rng.uniform(0.0, 2 * PI), rng.uniform(0.0, PI), rng.uniform(0.0, 2 * PI)
+        paths.append((f"mu {eta!r} {nu!r} {zeta!r}",
+                      lambda x, eta=eta, nu=nu, zeta=zeta: ObservablePair(Observable(PI * x, eta), Observable(nu, zeta)),
+                      257))
+        paths.append((f"mu zeta {eta!r} {nu!r} {zeta!r}",
+                      lambda x, eta=eta, nu=nu, zeta=zeta: ObservablePair(Observable(PI * x, eta),
+                                                                          Observable(nu, zeta + 2 * PI * x)),
+                      64 + i))
+    paths.append(("x0 mu pi/4", lambda x: ObservablePair(Observable(PI * x, PI / 2), Observable(PI / 4, PI / 2)), 5))
+    return paths
+
+
+def solver_lines() -> list[str]:
+    """Each root's sweep parameter, theta and bracket width as float.hex, one line per path and label."""
+    lines = []
+    for name, path, grid in solver_paths():
+        for s, t in LABELS:
+            roots = solve_independence(path, BellLabel(s, t), grid)
+            lines.append(f"{name} grid={grid} s={s} t={t}: " + " ".join(
+                f"{r.sweep_parameter.hex()},{r.theta_at_root.hex()},{r.bracket_width.hex()}" for r in roots))
+    return lines
+
+
 def sample_cases() -> list[tuple[str, ...]]:
     """``sample`` at pinned seeds, on points with no zero cell."""
     points = (("--mu", "1.234", "--eta", "4.321", "--nu", "2.468", "--zeta", "0.987", "--s", "1", "--t", "0"),
@@ -293,6 +329,7 @@ def build() -> dict:
     golden[PROBS_KEY] = sha256(probs_text())
     golden[REPORT_KEY] = sha256(report_text())
     golden[SAMPLE_KEY] = sha256(sample_text())
+    golden[SOLVER_KEY] = solver_lines()
     return golden
 
 

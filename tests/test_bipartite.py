@@ -226,6 +226,46 @@ class TestJointDistributionType:
         with pytest.raises(TypeError, match="outcome index . must be an integer 0 or 1"):
             JointDistribution((0.1, 0.2, 0.3, 0.4)).probability(k, ell)
 
+    _NONE = "float() argument must be a string or a real number, not 'NoneType'"
+
+    @pytest.mark.parametrize("p, error, message", [
+        (("0.25",) * 4, TypeError, "probabilities must be numbers, not str"),
+        ((b"0.25",) * 4, TypeError, "probabilities must be numbers, not bytes"),
+        ((None, "0.25", 0.25, 0.25), TypeError, "probabilities must be numbers, not str"),
+        (("0.25", None, 0.25, 0.25), TypeError, "probabilities must be numbers, not str"),
+        ((None, 0.25, 0.25, 0.5), TypeError, _NONE),
+        ((0.5, 0.25, 0.25), ValueError, "expected 4 probabilities, got 3"),
+        ((0.2,) * 5, ValueError, "expected 4 probabilities, got 5"),
+        ((math.nan, 0.5, 0.25, 0.25), ValueError, "probability nan lies outside [0, 1] beyond slack"),
+        ((math.inf, 0.5, 0.25, 0.25), ValueError, "probability inf lies outside [0, 1] beyond slack"),
+        ((-math.inf, 0.5, 0.25, 0.25), ValueError, "probability -inf lies outside [0, 1] beyond slack"),
+        ((-0.1, 0.5, 0.25, 0.35), ValueError, "probability -0.1 lies outside [0, 1] beyond slack"),
+        ((0.25, 0.25, 0.25, 0.25 + 2e-12), ValueError, "probabilities sum to 1.000000000002, expected 1"),
+        ((0.25, 0.25, 0.25, 0.25 - 2e-12), ValueError, "probabilities sum to 0.999999999998, expected 1"),
+        # two faults: text before any float() error, a float() error before the length, the length
+        # before the range, and the first cell out of range
+        ((math.nan, "0.25", 0.25, 0.25), TypeError, "probabilities must be numbers, not str"),
+        ((None, math.nan, 0.25, 0.25), TypeError, _NONE),
+        ((0.5, 0.5, 0.1, 0.1, None), TypeError, _NONE),
+        ((math.nan, 0.5, 0.5), ValueError, "expected 4 probabilities, got 3"),
+        ((2.0, -1.0, 0.0, 0.0), ValueError, "probability 2.0 lies outside [0, 1] beyond slack"),
+    ], ids=repr)
+    def test_each_bad_input_raises_its_error(self, p, error, message):
+        with pytest.raises(error) as info:
+            JointDistribution(p)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("p, stored", [
+        ((-0.0, 0.5, 0.25, 0.25), (0.0, 0.5, 0.25, 0.25)),
+        ((0.25, -0.0, 0.75, -0.0), (0.25, 0.0, 0.75, 0.0)),
+        ((-1e-13, 0.5, 0.5, 1e-13), (0.0, 0.5, 0.5, 1e-13)),
+        ((np.float64(0.5), 0, False, 0.5), (0.5, 0.0, 0.0, 0.5)),
+        ((np.float64(0.25), 0.25, 0.25, 0.25), (0.25, 0.25, 0.25, 0.25)),
+    ], ids=repr)
+    def test_cells_are_stored_as_plain_floats_in_0_1_with_no_negative_zero(self, p, stored):
+        values = JointDistribution(p).p
+        assert values == stored and all(type(x) is float and math.copysign(1.0, x) == 1.0 for x in values)
+
     @pytest.mark.parametrize("p", [("0.25",) * 4, (b"0.25",) * 4, (0.25, 0.25, 0.25, "0.25"),
                                    np.array(["0.25"] * 4), "1000"], ids=repr)
     def test_text_probabilities_are_type_errors(self, p):

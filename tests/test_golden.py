@@ -14,7 +14,8 @@ def test_golden_holds_exactly_the_cases():
     expected = [mg.key(group) for group in mg.groups()]
     expected += [mg.anchored_key(group) for group in mg.groups()]
     expected += [mg.key(argv) for argv in mg.error_cases() + mg.usage_error_cases() + mg.hashed_cases() + mg.verify_cases()]
-    assert sorted(GOLDEN) == sorted(expected + [mg.LIBRARY_KEY, mg.PROBS_KEY, mg.REPORT_KEY, mg.SAMPLE_KEY])
+    assert sorted(GOLDEN) == sorted(expected + [mg.LIBRARY_KEY, mg.PROBS_KEY, mg.REPORT_KEY, mg.SAMPLE_KEY,
+                                                mg.SOLVER_KEY])
 
 
 @pytest.mark.parametrize("group", mg.groups(), ids=mg.key)
@@ -69,3 +70,7 @@ def test_crosstalk_report_bits():
 
 def test_sample_stdout_at_pinned_seeds():
     assert mg.sha256(mg.sample_text()) == GOLDEN[mg.SAMPLE_KEY]
+
+
+def test_solver_roots_bits():
+    assert mg.solver_lines() == GOLDEN[mg.SOLVER_KEY]
