@@ -33,13 +33,13 @@ bell_state_row rather than bell_state for brute force, so it loads no numpy
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from . import _kernels
 from . import _np as np
 from .observables import TWO_PI, Observable, Record, bit_value, require_tolerance
 
-#: the oracles of _verify that tests/test_acceptance.py imports from here, resolved on first access
 _ORACLE_NAMES = frozenset({"bell_state_batch", "joint_closed_alt_batch", "joint_amplitude_batch",
                            "joint_bruteforce_batch"})
 
@@ -71,8 +71,7 @@ class InternalConsistencyError(RuntimeError):
 
     def __init__(self, gap: float, row: int) -> None:
         super().__init__(f"closed-form variants disagree by {gap:.3e} at row {row}")
-        self.gap = gap
-        self.row = row
+        self.gap, self.row = gap, row
 
     def __reduce__(self):  # pickle and copy would otherwise call __init__ with the message
         return type(self), (self.gap, self.row)
@@ -85,8 +84,8 @@ class BellLabel(Record):
     t: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", bit_value(self.s, "bell label bit s"))
-        object.__setattr__(self, "t", bit_value(self.t, "bell label bit t"))
+        self.__dict__["s"] = bit_value(self.s, "bell label bit s")
+        self.__dict__["t"] = bit_value(self.t, "bell label bit t")
 
 
 class ObservablePair(Record):
@@ -102,26 +101,38 @@ class JointDistribution(Record):
     Values are clamped to [0, 1] at construction; raw inputs may undershoot 0
     by ~1e-16 through cancellation in the closed forms. Anything outside the
     1e-12 slack (NaN and +-inf too), or a total off 1 by over 1e-12, is rejected.
+    Text is refused (float() would parse it) and -0.0 is stored as 0.0. One
+    pass checks the cells, keeping those outside (0, 1] in edge, and raises
+    in the order of separate passes: text, float(), length, range, sum.
     """
 
     p: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
+        values, error, edge = [], None, []
         for x in self.p:
-            if type(x) is not float and isinstance(x, (str, bytes)):  # float() would parse them
-                raise TypeError(f"probabilities must be numbers, not {type(x).__name__}")
-        values = tuple(map(float, self.p))
+            if type(x) is not float:
+                if isinstance(x, (str, bytes)):
+                    raise TypeError(f"probabilities must be numbers, not {type(x).__name__}")
+                try:
+                    x = float(x)
+                except Exception as exc:
+                    error = error or exc
+                    continue
+            if not 0.0 < x <= 1.0:
+                edge.append(x)
+            values.append(x)
+        if error:
+            raise error
         if len(values) != 4:
             raise ValueError(f"expected 4 probabilities, got {len(values)}")
-        for x in values:
-            if not -PROB_SLACK <= x <= 1.0 + PROB_SLACK:  # false for NaN and +-inf as well
+        for x in edge:
+            if not -PROB_SLACK <= x <= 1.0 + PROB_SLACK:
                 raise ValueError(f"probability {x} lies outside [0, 1] beyond slack")
         total = sum(values)
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        if min(values) <= 0.0 or max(values) > 1.0:  # zeros too, so that -0.0 is stored as 0.0
-            values = tuple(min(1.0, max(0.0, x)) for x in values)
-        object.__setattr__(self, "p", values)
+        self.__dict__["p"] = tuple(min(1.0, max(0.0, x)) for x in values) if edge else tuple(values)
 
     def probability(self, k: int, ell: int) -> float:
         return self.p[2 * bit_value(k, "outcome index k") + bit_value(ell, "outcome index l")]
@@ -152,12 +163,11 @@ def joint_distribution_bruteforce(pair: ObservablePair, psi) -> JointDistributio
     4 numbers (an ndarray, list or tuple), finite, with unit norm.
     """
     psi = _state_entries(psi)
-    row = _kernels.bruteforce_joint([pair.a.mu], [pair.a.eta], [pair.b.mu], [pair.b.eta], [psi])[0]
-    return JointDistribution(row)
+    return JointDistribution(_kernels.bruteforce_joint([pair.a.mu], [pair.a.eta], [pair.b.mu], [pair.b.eta], [psi])[0])
 
 
 def _state_entries(psi) -> list[complex]:
-    """psi's 4 entries as complex numbers, checked to be finite numbers of unit norm."""
+    """psi's 4 entries as complex numbers, checked to be finite numbers (not text) of unit norm."""
     shape = getattr(psi, "shape", None)
     if shape is None:
         if isinstance(psi, (str, bytes)) or psi is None:
@@ -168,12 +178,12 @@ def _state_entries(psi) -> list[complex]:
     entries = []
     for x in psi:
         try:
-            if isinstance(x, (str, bytes)):  # complex() would parse them
+            if isinstance(x, (str, bytes)):
                 raise TypeError
             entries.append(complex(x))
         except TypeError:
             raise TypeError(f"psi must hold numbers, not {type(x).__name__}") from None
-    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in entries):
+    if not all(map(cmath.isfinite, entries)):
         raise ValueError("psi has non-finite components")
     norm = math.hypot(*(part for z in entries for part in (z.real, z.imag)))
     if abs(norm - 1.0) > NORM_TOL:
@@ -195,16 +205,12 @@ def joint_distribution_amplitude(pair: ObservablePair, label: BellLabel) -> Join
 def joint_distribution_closed(pair: ObservablePair, label: BellLabel) -> JointDistribution:
     """Joint probabilities (1 +- a.S b)/4 from the correlation of the Bloch vectors.
 
-    Calls the closed kernels on one-element lists of the pair's angles and
-    bits, without the batch wrapper, so they evaluate the row with math on
-    plain floats instead of numpy: Observable and BellLabel have already
-    validated the angles and bits, and JointDistribution checks the range and
-    the sum and clamps. The alternate half-angle closed form is evaluated as
-    well, and both rows are compared as plain floats; a disagreement beyond
-    CLOSED_VARIANT_TOL, or a NaN in either row, raises
-    InternalConsistencyError instead of averaging. The kernels give a list of
-    one row for the lists, and row 0 is taken as it comes: a tuple of floats,
-    or an ndarray row from a kernel that returns an (n, 4) array.
+    Calls the closed kernels on one-element lists, without the batch wrapper
+    (see the module docstring). The alternate half-angle closed form is
+    evaluated as well, and a disagreement beyond CLOSED_VARIANT_TOL, or a NaN
+    in either row, raises InternalConsistencyError instead of averaging. Row 0
+    is taken as it comes: a tuple of floats, or an ndarray row from a kernel
+    that returns an (n, 4) array.
     """
     row = _point_row(pair, label)
     primary = _kernels.closed_joint(*row)
@@ -228,9 +234,8 @@ def is_klein_symmetric(dist: JointDistribution, tol: float = 1e-12) -> bool:
 def has_equal_marginals(dist: JointDistribution, tol: float = 1e-12) -> bool:
     """True when all four single-measurement outcome probabilities agree within tol."""
     require_tolerance(tol)
-    (pa0, pa1), (pb0, pb1) = marginals(dist)
-    values = (pa0, pa1, pb0, pb1)
-    return max(values) - min(values) <= tol
+    first, second = marginals(dist)
+    return max(first + second) - min(first + second) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +275,7 @@ def validated_angle(name: str, values) -> np.ndarray:
 
 def _validated_angles(mu, eta, nu, zeta):
     arrays = [validated_angle(name, values) for name, values in zip(ANGLE_BOUNDS, (mu, eta, nu, zeta))]
-    n = arrays[0].shape[0]
-    if any(a.shape[0] != n for a in arrays):
+    if len({a.shape for a in arrays}) > 1:
         raise ValueError("angle arrays must share one length")
     return arrays
 
@@ -317,11 +321,14 @@ def _require_variant_agreement(primary, alternate) -> None:
     of plain floats, compared in Python, and with numpy only when they
     disagree. The row named is the first NaN row, else the first worst one.
     """
-    if isinstance(primary, list) and all(
-        [abs(x - y) <= CLOSED_VARIANT_TOL for rows in zip(primary, alternate) for x, y in zip(*rows)]
-    ):
-        return
+    if isinstance(primary, list):
+        agree = True
+        for row, alt in zip(primary, alternate):
+            for x, y in zip(row, alt):
+                agree &= abs(x - y) <= CLOSED_VARIANT_TOL
+        if agree:
+            return
     gap = np.abs(np.subtract(primary, alternate))
     worst = float(gap.max()) if gap.size else 0.0
-    if not worst <= CLOSED_VARIANT_TOL:  # max and argmax propagate NaN
-        raise InternalConsistencyError(worst, int(np.unravel_index(np.argmax(gap), gap.shape)[0]))
+    if not worst <= CLOSED_VARIANT_TOL:
+        raise InternalConsistencyError(worst, int(gap.argmax()) // 4)

@@ -3,7 +3,7 @@
 Subcommands: probs (single-point report), sweep (CSV parameter sweep),
 verify (randomized cross-validation of the three probability routes),
 independence (closed-form angle conditions), sample (seeded sampling run).
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or unwritable output.
 
 The algebra lives in the library, and sweep (cmd_sweep) and verify
 (run_verification) run it one block of rows at a time, so neither holds
@@ -225,6 +225,8 @@ def cmd_sweep(args) -> int:
                 except InternalConsistencyError as exc:  # name the grid row, not the block's
                     raise InternalConsistencyError(exc.gap, start + exc.row) from None
     except OSError as exc:  # name the path given, not _replacing's temp file
+        if args.out == "-":
+            raise  # main reports stdout's errors, for every command
         raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     return EXIT_OK
 
@@ -406,7 +408,13 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         # looked up per call, so a handler replaced on this module is the one that runs
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # so that an unwritable stdout fails here, not as the interpreter exits
+        return code
+    except OSError as exc:  # stdout is unwritable: a pipe whose reader has gone, say, or a full disk
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # takes what stdout holds at exit
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

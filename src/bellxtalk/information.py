@@ -58,9 +58,14 @@ def mutual_information(dist: JointDistribution) -> float:
     pa0, pa1 = p00 + p01, p10 + p11
     pb0, pb1 = p00 + p10, p01 + p11
     info = 0.0
-    for x, product in ((p00, pa0 * pb0), (p01, pa0 * pb1), (p10, pa1 * pb0), (p11, pa1 * pb1)):
-        if x > 0.0:
-            info += x * math.log(x / product)
+    if p00 > 0.0:
+        info += p00 * math.log(p00 / (pa0 * pb0))
+    if p01 > 0.0:
+        info += p01 * math.log(p01 / (pa0 * pb1))
+    if p10 > 0.0:
+        info += p10 * math.log(p10 / (pa1 * pb0))
+    if p11 > 0.0:
+        info += p11 * math.log(p11 / (pa1 * pb1))
     return max(info, 0.0)
 
 
@@ -99,16 +104,15 @@ class CrosstalkReport(Record):
 
 
 def report_from_distribution(dist: JointDistribution, tol: float = DEFAULT_INDEPENDENCE_TOL) -> CrosstalkReport:
-    """Assemble the crosstalk summary of an existing distribution."""
+    """Assemble the crosstalk summary of an existing distribution.
+
+    independent is is_informationally_independent's test, made inline.
+    """
+    require_tolerance(tol)
+    theta = dist.p[0]
     mutual_info = mutual_information(dist)
-    return CrosstalkReport(
-        theta=dist.p[0],
-        entropy=shannon_entropy(dist),
-        mutual_info=mutual_info,
-        degree=_degree(mutual_info),
-        independent=is_informationally_independent(dist, tol),
-        tolerance=float(tol),
-    )
+    return CrosstalkReport(theta, shannon_entropy(dist), mutual_info, _degree(mutual_info),
+                           abs(theta - 0.25) <= tol, float(tol))
 
 
 def crosstalk_report(pair: ObservablePair, label: BellLabel, tol: float = DEFAULT_INDEPENDENCE_TOL) -> CrosstalkReport:

@@ -95,16 +95,19 @@ class Record:
     """Base of the frozen records, in place of @dataclass(frozen=True): importing dataclasses costs ~15 ms.
 
     Each annotated class attribute is a field. A subclass gets an __init__ that takes the fields in
-    order and then calls its __post_init__, if it has one. Records compare and hash by their field
-    values, only with records of their own type, refuse assignment and pickle through __init__.
+    order, writes each into the instance's __dict__ and then calls its __post_init__, if it has one;
+    a __post_init__ stores what it checked or converted into __dict__ too. Writing the dict skips
+    __setattr__, which refuses every assignment, and costs less than object.__setattr__. Records
+    compare and hash by their field values, only with records of their own type, and pickle through
+    __init__.
     """
 
     def __init_subclass__(cls) -> None:
         fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         post_init = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-        namespace = {"store": object.__setattr__}
+        namespace = {}
         exec(f"def __init__(self, {', '.join(fields)}):"
-             + "".join(f"\n    store(self, {name!r}, {name})" for name in fields) + post_init
+             + "".join(f"\n    self.__dict__[{name!r}] = {name}" for name in fields) + post_init
              + f"\ndef _values(self):\n    return ({''.join(f'self.{name}, ' for name in fields)})", namespace)
         namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__, cls._values = namespace["__init__"], namespace["_values"]
@@ -132,8 +135,8 @@ class Record:
 
 
 def normalize_azimuth(eta: float) -> float:
-    """Reduce an azimuthal angle into [0, 2*pi)."""
-    r = math.fmod(eta, TWO_PI)
+    """Reduce an azimuthal angle into [0, 2*pi); the result is never -0.0."""
+    r = math.fmod(eta, TWO_PI) + 0.0  # fmod of -0.0 or a multiple of -2*pi is -0.0, and -0.0 + 0.0 is 0.0
     if r < 0.0:
         r += TWO_PI
     if r >= TWO_PI:  # fmod rounding can land exactly on 2*pi
@@ -160,8 +163,8 @@ class Observable(Record):
             raise ValueError("observable angles must be finite")
         if not 0.0 <= mu <= math.pi:
             raise ValueError(f"polar angle mu must lie in [0, pi], got {mu}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "eta", normalize_azimuth(eta))
+        self.__dict__["mu"] = mu
+        self.__dict__["eta"] = normalize_azimuth(eta)
 
 
 class BlochDirection(Record):

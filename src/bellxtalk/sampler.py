@@ -42,9 +42,9 @@ class SampleCounts(Record):
             raise ValueError("counts must be four non-negative integers")
         if sum(counts) != n:
             raise ValueError(f"counts sum to {sum(counts)}, expected n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "seed", operator.index(self.seed))
+        self.__dict__["n"] = n
+        self.__dict__["counts"] = counts
+        self.__dict__["seed"] = operator.index(self.seed)
 
 
 def sample(dist: JointDistribution, n: int, seed: int) -> SampleCounts:

@@ -3,6 +3,8 @@ import io
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -121,6 +123,16 @@ class TestProbs:
         assert code == 0
         assert out.splitlines()[:2] == [f"observable A: mu=1 eta={reduced}", f"observable B: nu=1.3 zeta={reduced}"]
         assert out == run_cli(capsys, "probs", *point, "--eta", reduced, "--zeta", reduced)[1]
+
+    @pytest.mark.parametrize("flags", [("--eta", "-0.0"), ("--eta", repr(-2 * PI)), ("--eta", repr(-4 * PI)),
+                                       ("--zeta", "-0"), ("--zeta", repr(-2 * PI)), ("--zeta", repr(-8 * PI)),
+                                       ("--eta", "-0", "--zeta", repr(-6 * PI))], ids=" ".join)
+    def test_an_azimuth_reduced_to_zero_prints_as_zero(self, capsys, flags):
+        # fmod leaves -0.0 for -0.0 and each multiple of -2*pi; sweep, which does not reduce, keeps its -0
+        code, out, _ = run_cli(capsys, "probs", "--mu", "1", "--nu", "1.3", *flags)
+        assert code == 0
+        assert out.splitlines()[:2] == ["observable A: mu=1 eta=0", "observable B: nu=1.3 zeta=0"]
+        assert out == run_cli(capsys, "probs", "--mu", "1", "--nu", "1.3")[1]
 
 
 class TestSweep:
@@ -1038,6 +1050,33 @@ def test_sample_checks_its_tolerance_before_drawing(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "sample", "--n", "300000000", "--tol", "inf")
     assert (code, out, err) == (2, "", "error: tolerance must be positive and finite\n")
     assert draws == []
+
+
+_CLOSED_STDOUT = [
+    ("probs", "--method", "all"),
+    ("independence", "--plane", "x0", "--s", "0", "--t", "1", "--mu", "0.3"),
+    ("sample", "--n", "10"),
+    ("verify", "--samples", "3"),
+    ("sweep", "--vary", "mu=0:1:3"),
+    ("sweep", "--vary", "mu=0:1:20000"),  # past the stdout buffer, so a write fails before sweep returns
+]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", _CLOSED_STDOUT, ids=" ".join)
+def test_a_closed_stdout_is_one_error_line_and_exit_2(argv, unbuffered):
+    # stdout is a pipe whose read end is closed: with PYTHONUNBUFFERED the first print fails, without
+    # it the flush after the command; either way no traceback, and nothing left to fail at exit
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    try:
+        result = subprocess.run([sys.executable, "-m", "bellxtalk", *argv], stdout=write, stderr=subprocess.PIPE,
+                                env=env, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (2, "error: cannot write stdout: Broken pipe\n")
 
 
 class TestUnwritableOut:

@@ -212,6 +212,20 @@ def test_normalize_azimuth_edge_cases():
     assert 0.0 <= obs.normalize_azimuth(123.456) < 2 * PI
 
 
+@pytest.mark.parametrize("eta", [-0.0, 0.0, -2 * PI, 2 * PI, -4 * PI, 4 * PI, -6 * PI], ids=repr)
+def test_a_reduced_azimuth_of_zero_is_positive_zero(eta):
+    # fmod(-2*pi, 2*pi) is -0.0, which would print as eta=-0
+    for reduced in (obs.normalize_azimuth(eta), Observable(1.0, eta).eta):
+        assert reduced == 0.0 and math.copysign(1.0, reduced) == 1.0
+
+
+@pytest.mark.parametrize("eta", [-1.0, -PI, -7.5, -2 * PI + 1e-9, 5 * PI, -1e-18, 1e-300, -1e300])
+def test_every_reduced_azimuth_has_a_clear_sign_bit(eta):
+    reduced = obs.normalize_azimuth(eta)
+    assert 0.0 <= reduced < 2 * PI and math.copysign(1.0, reduced) == 1.0
+    assert Observable(0.5, eta).eta == reduced
+
+
 def test_classify_plane_rejects_nan_tolerance():
     with pytest.raises(ValueError, match="tolerance must be positive"):
         classify_plane(Observable(1.0, 1.0), math.nan)
