@@ -33,11 +33,11 @@ force: a list of rows of 4 numbers for psi), which the one-pair routes pass
 as one-element lists. They choose by the type of mu: a list is indexed row
 by row, with no zip and no unpacked row tuple, through math and cmath on
 plain numbers and gives a list of n tuples of 4 floats; anything else goes
-through numpy and gives an (n, 4) float64 ndarray. Each kernel's cells are written once, in a helper that takes sin,
-cos and, as the kernel needs them, exp and where as arguments. The list
-route touches no numpy name, so it never loads numpy (see _np). For the
-closed kernels it gives the ndarray route's bits wherever math and numpy
-round sin and cos alike. For the amplitude and brute-force kernels it can
+through numpy and gives an (n, 4) float64 ndarray. Each kernel's cells are
+written once, in a helper that takes sin, cos and, as the kernel needs
+them, exp and where as arguments. The list route touches no numpy name, so
+it never loads numpy (see _np). For the closed kernels it gives the ndarray
+route's bits wherever math and numpy round sin and cos alike. For the amplitude and brute-force kernels it can
 differ in the last bit or two: CPython's complex product rounds each of its
 two sums of products separately, where numpy's SIMD product may fuse them
 (FMA).
