@@ -30,10 +30,12 @@ elementwise in its rows, so the bits do not depend on the tiling.
 
 The four probability kernels also take lists of floats and 0/1 ints (brute
 force: a list of rows of 4 numbers for psi), which the one-pair routes pass
-as one-element lists. They choose by the type of mu: a list is indexed row
-by row, with no zip and no unpacked row tuple, through math and cmath on
-plain numbers and gives a list of n tuples of 4 floats; anything else goes
-through numpy and gives an (n, 4) float64 ndarray. Each kernel's cells are
+as one-element lists. They choose by the type of mu: a list goes row by row
+through math and cmath on plain numbers and gives a list of n tuples of 4
+floats, anything else goes through numpy and gives an (n, 4) float64
+ndarray. The closed kernels, which every one-pair query runs, index the
+lists in a plain loop: a comprehension is a function call of its own, and
+zipping makes a tuple per row to unpack. Each kernel's cells are
 written once, in a helper that takes sin, cos and, as the kernel needs
 them, exp and where as arguments. The list route touches no numpy name, so
 it never loads numpy (see _np). For the closed kernels it gives the ndarray
@@ -110,16 +112,20 @@ def _pick(condition, if_true, if_false):
 def closed_joint(mu, eta, nu, zeta, s, t):
     """Joint probabilities (1 +- c)/4 from the correlation c = a.S b of the Bloch vectors."""
     if isinstance(mu, list):
-        return [_closed_cells(mu[i], eta[i], nu[i], zeta[i], s[i], t[i], math.sin, math.cos)
-                for i in range(len(mu))]
+        rows = []
+        for i in range(len(mu)):
+            rows.append(_closed_cells(mu[i], eta[i], nu[i], zeta[i], s[i], t[i], math.sin, math.cos))
+        return rows
     return _tiled(_closed_cells, (mu, eta, nu, zeta, s, t), np.sin, np.cos)
 
 
 def closed_joint_alt(mu, eta, nu, zeta, s, t):
     """Closed forms in the half-angle sums; the every-call cross-check of closed_joint."""
     if isinstance(mu, list):
-        return [_closed_alt_cells(mu[i], eta[i], nu[i], zeta[i], s[i], t[i], math.sin, math.cos, _pick)
-                for i in range(len(mu))]
+        rows = []
+        for i in range(len(mu)):
+            rows.append(_closed_alt_cells(mu[i], eta[i], nu[i], zeta[i], s[i], t[i], math.sin, math.cos, _pick))
+        return rows
     return _tiled(_closed_alt_cells, (mu, eta, nu, zeta, s, t), np.sin, np.cos, np.where)
 
 
@@ -177,8 +183,7 @@ def amplitude_joint(mu, eta, nu, zeta, s, t):
     if isinstance(mu, list):
         import cmath
 
-        return [_amplitude_cells(mu[i], eta[i], nu[i], zeta[i], s[i], t[i], math.sin, math.cos, cmath.exp, _pick)
-                for i in range(len(mu))]
+        return [_amplitude_cells(*row, math.sin, math.cos, cmath.exp, _pick) for row in zip(mu, eta, nu, zeta, s, t)]
     return _tiled(_amplitude_cells, (mu, eta, nu, zeta, s, t), np.sin, np.cos, np.exp, np.where)
 
 
@@ -191,8 +196,7 @@ def bruteforce_joint(mu, eta, nu, zeta, psi):
     if isinstance(mu, list):
         import cmath
 
-        return [_bruteforce_cells(mu[i], eta[i], nu[i], zeta[i], psi[i], math.sin, math.cos, cmath.exp)
-                for i in range(len(mu))]
+        return [_bruteforce_cells(*row, math.sin, math.cos, cmath.exp) for row in zip(mu, eta, nu, zeta, psi)]
     return _tiled(_bruteforce_cells, (mu, eta, nu, zeta, psi.T), np.sin, np.cos, np.exp)
 
 

@@ -40,8 +40,7 @@ from . import _kernels
 from . import _np as np
 from .observables import TWO_PI, Observable, Record, bit_value, require_tolerance
 
-_ORACLE_NAMES = frozenset({"bell_state_batch", "joint_closed_alt_batch", "joint_amplitude_batch",
-                           "joint_bruteforce_batch"})
+_ORACLE_NAMES = ("bell_state_batch", "joint_closed_alt_batch", "joint_amplitude_batch", "joint_bruteforce_batch")
 
 
 def __getattr__(name: str):
@@ -66,14 +65,15 @@ class InternalConsistencyError(RuntimeError):
     """The two closed-form variants disagreed beyond tolerance.
 
     gap is the largest disagreement and row the first row where it occurs,
-    counted from the start of the arrays the check was given.
+    counted from the start of the arrays the check was given. It pickles by
+    (gap, row), not by the message.
     """
 
     def __init__(self, gap: float, row: int) -> None:
         super().__init__(f"closed-form variants disagree by {gap:.3e} at row {row}")
         self.gap, self.row = gap, row
 
-    def __reduce__(self):  # pickle and copy would otherwise call __init__ with the message
+    def __reduce__(self):
         return type(self), (self.gap, self.row)
 
 
@@ -84,8 +84,7 @@ class BellLabel(Record):
     t: int
 
     def __post_init__(self) -> None:
-        self.__dict__["s"] = bit_value(self.s, "bell label bit s")
-        self.__dict__["t"] = bit_value(self.t, "bell label bit t")
+        self.__dict__.update(s=bit_value(self.s, "bell label bit s"), t=bit_value(self.t, "bell label bit t"))
 
 
 class ObservablePair(Record):
@@ -247,8 +246,7 @@ def _point_row(pair: ObservablePair, label: BellLabel):
     return [pair.a.mu], [pair.a.eta], [pair.b.mu], [pair.b.eta], [label.s], [label.t]
 
 
-#: upper end of each angle's domain [0, hi], in the kernels' argument order;
-#: eta/zeta accept the closed end 2*pi, which is equivalent to 0
+#: each angle's domain [0, hi], in the kernels' argument order; eta and zeta take 2*pi, the azimuth 0
 ANGLE_BOUNDS = {"mu": math.pi, "eta": TWO_PI, "nu": math.pi, "zeta": TWO_PI}
 
 
@@ -325,7 +323,8 @@ def _require_variant_agreement(primary, alternate) -> None:
         agree = True
         for row, alt in zip(primary, alternate):
             for x, y in zip(row, alt):
-                agree &= abs(x - y) <= CLOSED_VARIANT_TOL
+                if not abs(x - y) <= CLOSED_VARIANT_TOL:
+                    agree = False
         if agree:
             return
     gap = np.abs(np.subtract(primary, alternate))

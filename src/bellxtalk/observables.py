@@ -106,8 +106,9 @@ class Record:
         fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         post_init = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         namespace = {}
-        exec(f"def __init__(self, {', '.join(fields)}):"
-             + "".join(f"\n    self.__dict__[{name!r}] = {name}" for name in fields) + post_init
+        # __values is a name no field can have: a class body mangles a private name such as __values
+        exec(f"def __init__(self, {', '.join(fields)}):\n    __values = self.__dict__"
+             + "".join(f"\n    __values[{name!r}] = {name}" for name in fields) + post_init
              + f"\ndef _values(self):\n    return ({''.join(f'self.{name}, ' for name in fields)})", namespace)
         namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__, cls._values = namespace["__init__"], namespace["_values"]
