@@ -219,8 +219,8 @@ def test_cold_sweep_peak_stays_at_one_block(tmp_path):
 
 #: each module's compile peak on its own, in MB, stays below this limit, which
 #: lies just above the module's peak at the foot of its next allocation step:
-#: cli.py 1.21 today, 1.58 about 290 ``_pad = 0`` lines on and 1.81 past its
-#: step; bipartite.py 0.87 today, 1.48 about 500 lines on and 1.70 past its
+#: cli.py 1.23 today, 1.58 about 280 ``_pad = 0`` lines on and 1.81 past its
+#: step; bipartite.py 0.86 today, 1.48 about 500 lines on and 1.70 past its
 #: step. ``PYTHONPATH=src python tests/test_startup.py`` prints each module's
 #: peak and headroom, and each compile's peak inside a cold probs --method all
 COMPILE_STEP_LIMITS = {"cli.py": 1.60, "bipartite.py": 1.50}
